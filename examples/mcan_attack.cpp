@@ -256,27 +256,10 @@ std::vector<std::string> expand_inputs(const std::vector<std::string>& in) {
 }
 
 int check_expect_gate(const Options& opt, std::uint32_t found) {
-  std::uint32_t want = 0;
-  bool gated = false;
-  if (opt.expect_clean) {
-    gated = true;
-  } else if (opt.expect_classes) {
-    gated = true;
-    want = *opt.expect_classes;
-  }
-  if (!gated) return 0;
-  if (want == 0 && found != 0) {
-    std::fprintf(stderr, "mcan-attack: FAIL: expected clean but found %s\n",
-                 fuzz_classes_to_string(found).c_str());
-    return 1;
-  }
-  if ((want & found) != want) {
-    std::fprintf(stderr, "mcan-attack: FAIL: expected classes %s, found %s\n",
-                 fuzz_classes_to_string(want).c_str(),
-                 fuzz_classes_to_string(found).c_str());
-    return 1;
-  }
-  return 0;
+  if (opt.expect_clean) return check_class_gate("mcan-attack", 0, found);
+  return opt.expect_classes
+             ? check_class_gate("mcan-attack", *opt.expect_classes, found)
+             : 0;
 }
 
 // --- sweep ----------------------------------------------------------------

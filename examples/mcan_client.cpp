@@ -356,21 +356,7 @@ int check_fuzz_gate(const Options& opt, const Json& result) {
                  error.c_str());
     return 1;
   }
-  const std::uint32_t want = *opt.expect_classes;
-  if (want == 0 && found != 0) {
-    std::fprintf(stderr,
-                 "mcan-client: FAIL: expected a clean campaign but found "
-                 "%s\n",
-                 fuzz_classes_to_string(found).c_str());
-    return 1;
-  }
-  if ((want & found) != want) {
-    std::fprintf(stderr, "mcan-client: FAIL: expected classes %s but found %s\n",
-                 fuzz_classes_to_string(want).c_str(),
-                 fuzz_classes_to_string(found).c_str());
-    return 1;
-  }
-  return 0;
+  return check_class_gate("mcan-client", *opt.expect_classes, found);
 }
 
 int check_rare_gates(const Options& opt, const Json& result) {

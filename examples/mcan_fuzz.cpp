@@ -249,27 +249,10 @@ FuzzConfig make_config(const Options& opt, const ProtocolParams& proto) {
   return cfg;
 }
 
-std::string classes_found_string(std::uint32_t mask) {
-  return fuzz_classes_to_string(mask);
-}
-
 int check_expect_gate(const Options& opt, std::uint32_t found) {
-  if (!opt.expect_classes) return 0;
-  const std::uint32_t want = *opt.expect_classes;
-  if (want == 0 && found != 0) {
-    std::fprintf(stderr,
-                 "mcan-fuzz: FAIL: expected a clean campaign but found %s\n",
-                 classes_found_string(found).c_str());
-    return 1;
-  }
-  if ((want & found) != want) {
-    std::fprintf(stderr,
-                 "mcan-fuzz: FAIL: expected classes %s but found %s\n",
-                 classes_found_string(want).c_str(),
-                 classes_found_string(found).c_str());
-    return 1;
-  }
-  return 0;
+  return opt.expect_classes
+             ? check_class_gate("mcan-fuzz", *opt.expect_classes, found)
+             : 0;
 }
 
 bool write_file(const std::string& path, const std::string& content) {
@@ -312,7 +295,7 @@ int cmd_run(const Options& opt) {
                    static_cast<unsigned long long>(st.execs), st.corpus_size,
                    st.signature_bits, st.fsm_transitions,
                    static_cast<unsigned long long>(st.findings),
-                   classes_found_string(st.classes_seen).c_str());
+                   fuzz_classes_to_string(st.classes_seen).c_str());
     };
   }
 
@@ -341,7 +324,7 @@ int cmd_run(const Options& opt) {
       static_cast<unsigned long long>(res.stats.evicted),
       res.stats.signature_bits, res.stats.fsm_transitions,
       static_cast<unsigned long long>(res.stats.findings),
-      classes_found_string(res.stats.classes_seen).c_str());
+      fuzz_classes_to_string(res.stats.classes_seen).c_str());
 
   bool replay_failed = false;
   if (!res.findings.empty()) {
@@ -416,7 +399,7 @@ int cmd_replay(const Options& opt) {
     const FuzzVerdict v = run_fuzz_case(spec);
     found |= v.classes;
     std::printf("%s: %s (%d signature bits)\n", path.c_str(),
-                classes_found_string(v.classes).c_str(), v.sig.popcount());
+                fuzz_classes_to_string(v.classes).c_str(), v.sig.popcount());
     if (v.violation()) std::printf("  %s\n", v.detail.c_str());
   }
   return check_expect_gate(opt, found);

@@ -304,21 +304,9 @@ std::vector<std::string> expand_inputs(const std::vector<std::string>& in) {
 }
 
 int check_expect_gate(const Options& opt, std::uint32_t found) {
-  if (!opt.expect_classes) return 0;
-  const std::uint32_t want = *opt.expect_classes;
-  if (want == 0 && found != 0) {
-    std::fprintf(stderr,
-                 "mcan-rsm: FAIL: expected a clean campaign but found %s\n",
-                 fuzz_classes_to_string(found).c_str());
-    return 1;
-  }
-  if ((want & found) != want) {
-    std::fprintf(stderr, "mcan-rsm: FAIL: expected classes %s but found %s\n",
-                 fuzz_classes_to_string(want).c_str(),
-                 fuzz_classes_to_string(found).c_str());
-    return 1;
-  }
-  return 0;
+  return opt.expect_classes
+             ? check_class_gate("mcan-rsm", *opt.expect_classes, found)
+             : 0;
 }
 
 int report_run(const std::string& label, const RsmRunResult& res,

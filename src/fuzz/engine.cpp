@@ -1,9 +1,8 @@
 #include "fuzz/engine.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <thread>
 
+#include "util/parallel.hpp"
 #include "util/text.hpp"
 
 namespace mcan {
@@ -137,39 +136,13 @@ FuzzResult FuzzCampaign::take_result() {
   return std::move(res_);
 }
 
-namespace {
-
-void execute_round(FuzzCampaign& campaign, std::size_t n_slots, int jobs) {
-  if (jobs <= 1 || n_slots <= 1) {
-    for (std::size_t i = 0; i < n_slots; ++i) campaign.execute_slot(i);
-    return;
-  }
-  std::atomic<std::size_t> next{0};
-  auto worker = [&campaign, &next, n_slots] {
-    for (;;) {
-      const std::size_t i = next.fetch_add(1);
-      if (i >= n_slots) return;
-      campaign.execute_slot(i);
-    }
-  };
-  const int n = std::min<int>(jobs, static_cast<int>(n_slots));
-  std::vector<std::thread> pool;
-  pool.reserve(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) pool.emplace_back(worker);
-  for (std::thread& t : pool) t.join();
-}
-
-}  // namespace
-
 FuzzResult run_fuzz(const FuzzConfig& cfg, const std::vector<ScenarioSpec>& seeds) {
-  const int jobs = cfg.jobs > 0
-                       ? cfg.jobs
-                       : std::max(1u, std::thread::hardware_concurrency());
+  const int jobs = resolve_jobs(cfg.jobs);
   FuzzCampaign campaign(cfg, seeds);
   for (;;) {
     const std::size_t n = campaign.plan_round();
     if (n == 0) break;
-    execute_round(campaign, n, jobs);
+    parallel_for(n, jobs, [&](std::size_t i) { campaign.execute_slot(i); });
     campaign.merge_round();
   }
   return campaign.take_result();

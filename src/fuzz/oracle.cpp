@@ -1,5 +1,6 @@
 #include "fuzz/oracle.hpp"
 
+#include <cstdio>
 #include <sstream>
 #include <utility>
 
@@ -65,6 +66,22 @@ bool parse_fuzz_classes(const std::string& csv, std::uint32_t& mask,
     }
   }
   return true;
+}
+
+int check_class_gate(const char* tool, std::uint32_t want,
+                     std::uint32_t found) {
+  if (want == 0 && found != 0) {
+    std::fprintf(stderr, "%s: FAIL: expected a clean campaign but found %s\n",
+                 tool, fuzz_classes_to_string(found).c_str());
+    return 1;
+  }
+  if ((want & found) != want) {
+    std::fprintf(stderr, "%s: FAIL: expected classes %s but found %s\n", tool,
+                 fuzz_classes_to_string(want).c_str(),
+                 fuzz_classes_to_string(found).c_str());
+    return 1;
+  }
+  return 0;
 }
 
 FuzzClass FuzzVerdict::primary() const {

@@ -64,6 +64,13 @@ inline constexpr int kFuzzClassCount = 14;
 [[nodiscard]] bool parse_fuzz_classes(const std::string& csv,
                                       std::uint32_t& mask, std::string& error);
 
+/// The CLIs' `--expect-classes` gate: want == 0 demands a clean result,
+/// otherwise every class in `want` must be among `found`.  Returns 0 when
+/// the gate holds; otherwise prints "<tool>: FAIL: ..." to stderr and
+/// returns 1.
+[[nodiscard]] int check_class_gate(const char* tool, std::uint32_t want,
+                                   std::uint32_t found);
+
 struct FuzzVerdict {
   std::uint32_t classes = 0;  ///< fuzz_class_bit() mask
   Signature sig;

@@ -1,6 +1,5 @@
 #include "rare/campaign.hpp"
 
-#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -8,11 +7,11 @@
 #include <optional>
 #include <sstream>
 #include <stdexcept>
-#include <thread>
 #include <vector>
 
 #include "analysis/prob_model.hpp"
 #include "frame/encoder.hpp"
+#include "util/parallel.hpp"
 #include "util/text.hpp"
 
 namespace mcan {
@@ -266,30 +265,6 @@ RareResult RareCampaign::result() const {
   return res;
 }
 
-namespace {
-
-void execute_round(RareCampaign& campaign, std::size_t n_slots, int jobs) {
-  if (jobs <= 1 || n_slots <= 1) {
-    for (std::size_t i = 0; i < n_slots; ++i) campaign.execute_slot(i);
-    return;
-  }
-  std::atomic<std::size_t> next{0};
-  auto worker = [&campaign, &next, n_slots] {
-    for (;;) {
-      const std::size_t i = next.fetch_add(1);
-      if (i >= n_slots) return;
-      campaign.execute_slot(i);
-    }
-  };
-  const int n = std::min<int>(jobs, static_cast<int>(n_slots));
-  std::vector<std::thread> pool;
-  pool.reserve(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) pool.emplace_back(worker);
-  for (std::thread& t : pool) t.join();
-}
-
-}  // namespace
-
 RareResult run_campaign(const RareConfig& cfg0) {
   RareCampaign campaign(cfg0);
   const RareConfig& cfg = campaign.config();
@@ -308,10 +283,7 @@ RareResult run_campaign(const RareConfig& cfg0) {
     }
   }
 
-  const int jobs =
-      cfg.jobs > 0 ? cfg.jobs
-                   : static_cast<int>(
-                         std::max(1u, std::thread::hardware_concurrency()));
+  const int jobs = resolve_jobs(cfg.jobs);
 
   const auto t0 = std::chrono::steady_clock::now();
   long long last_snap = campaign.trials_done();
@@ -319,7 +291,7 @@ RareResult run_campaign(const RareConfig& cfg0) {
     const std::size_t n = campaign.plan_round();
     if (n == 0) break;
     // Execute (parallel): trials are independent, each on its own stream.
-    execute_round(campaign, n, jobs);
+    parallel_for(n, jobs, [&](std::size_t i) { campaign.execute_slot(i); });
     campaign.merge_round();
     const long long done = campaign.trials_done();
     if (!cfg.journal.empty() &&

@@ -1,9 +1,7 @@
 #include "rsm/check.hpp"
 
-#include <algorithm>
-#include <thread>
-
 #include "scenario/exhaustive.hpp"
+#include "util/parallel.hpp"
 
 namespace mcan {
 
@@ -121,29 +119,14 @@ RsmCheckResult run_rsm_check(const RsmCheckConfig& cfg) {
   }
 
   std::vector<Partial> partials(targets.size());
-  std::atomic<int> next{0};
-  const auto worker = [&] {
-    for (;;) {
-      const int i = next.fetch_add(1);
-      if (i >= static_cast<int>(targets.size())) return;
-      Partial& p = partials[static_cast<std::size_t>(i)];
-      if (cfg.stop && cfg.stop->load()) {
-        p.stopped = true;
-        continue;
-      }
-      enumerate_first(cfg, targets, i, p);
+  parallel_for(targets.size(), cfg.jobs, [&](std::size_t i) {
+    Partial& p = partials[i];
+    if (cfg.stop && cfg.stop->load()) {
+      p.stopped = true;
+      return;
     }
-  };
-  const int jobs = std::max(
-      1, std::min(cfg.jobs, static_cast<int>(targets.size())));
-  if (jobs == 1) {
-    worker();
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<std::size_t>(jobs));
-    for (int j = 0; j < jobs; ++j) pool.emplace_back(worker);
-    for (std::thread& t : pool) t.join();
-  }
+    enumerate_first(cfg, targets, static_cast<int>(i), p);
+  });
 
   // Merge in partition order: totals and kept findings are independent of
   // the job count.

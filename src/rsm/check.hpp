@@ -34,7 +34,7 @@ struct RsmCheckConfig {
   /// intermission otherwise), mirroring ExhaustiveConfig's default.
   int win_hi = -1;
   int max_frames = 2;  ///< flip targets cover frame indices [0, max_frames)
-  int jobs = 1;
+  int jobs = 1;        ///< worker threads; 0 = one per hardware thread
   int max_findings = 8;
   /// Cooperative stop (signal handling); polled between cases.
   const std::atomic<bool>* stop = nullptr;

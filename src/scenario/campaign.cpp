@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <map>
 #include <set>
-#include <thread>
 
 #include "analysis/tagged.hpp"
 #include "core/network.hpp"
@@ -11,6 +10,7 @@
 #include "fault/scripted.hpp"
 #include "frame/encoder.hpp"
 #include "frame/layout.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
 #include "util/text.hpp"
 
@@ -126,27 +126,21 @@ CampaignResult run_eof_campaign_range(const CampaignConfig& cfg, int first,
 
 CampaignResult run_eof_campaign_parallel(const CampaignConfig& cfg,
                                          unsigned threads) {
-  if (threads == 0) threads = std::max(1u, std::thread::hardware_concurrency());
-  threads = std::min<unsigned>(threads, static_cast<unsigned>(
-                                            std::max(1, cfg.trials)));
-  if (threads <= 1) return run_eof_campaign(cfg);
+  const int ranges = std::min(resolve_jobs(static_cast<int>(threads)),
+                              std::max(1, cfg.trials));
+  if (ranges <= 1) return run_eof_campaign(cfg);
 
-  std::vector<CampaignResult> parts(threads);
-  std::vector<std::thread> workers;
-  workers.reserve(threads);
-  const int per = cfg.trials / static_cast<int>(threads);
-  const int extra = cfg.trials % static_cast<int>(threads);
-  int next = 0;
-  for (unsigned w = 0; w < threads; ++w) {
-    const int count = per + (static_cast<int>(w) < extra ? 1 : 0);
-    const int first = next;
-    const int last = next + count;
-    next = last;
-    workers.emplace_back([&parts, w, &cfg, first, last] {
-      parts[w] = run_eof_campaign_range(cfg, first, last);
-    });
-  }
-  for (std::thread& t : workers) t.join();
+  // One contiguous trial range per thread; the first `extra` ranges get
+  // one trial more.
+  std::vector<CampaignResult> parts(static_cast<std::size_t>(ranges));
+  const int per = cfg.trials / ranges;
+  const int extra = cfg.trials % ranges;
+  parallel_for(parts.size(), ranges, [&](std::size_t i) {
+    const int w = static_cast<int>(i);
+    const int first = w * per + std::min(w, extra);
+    const int last = first + per + (w < extra ? 1 : 0);
+    parts[i] = run_eof_campaign_range(cfg, first, last);
+  });
 
   CampaignResult res;
   res.cfg = cfg;

@@ -7,7 +7,6 @@
 #include <memory>
 #include <mutex>
 #include <stdexcept>
-#include <thread>
 #include <unordered_map>
 
 #include "analysis/tagged.hpp"
@@ -15,6 +14,7 @@
 #include "fault/scripted.hpp"
 #include "frame/encoder.hpp"
 #include "util/mutex.hpp"
+#include "util/parallel.hpp"
 
 namespace mcan {
 
@@ -366,7 +366,8 @@ long long orbit_weight(const std::vector<std::pair<NodeId, int>>& flips,
 // the sweep driver
 // ---------------------------------------------------------------------------
 
-struct WorkerTally {
+/// What one first-slot subtree contributes to the result.
+struct SubtreeTally {
   long long cases = 0;
   long long imo = 0;
   long long double_rx = 0;
@@ -380,16 +381,17 @@ struct WorkerTally {
 };
 
 struct SharedState {
-  std::atomic<long long> next_first{0};     ///< first-slot task queue
   std::atomic<long long> enumerated{0};     ///< global progress counter
   std::atomic<long long> checked{0};        ///< cases charged to the budget
   std::atomic<bool> stop{false};            ///< budget exhausted
 };
 
-void run_worker(const ModelCheckConfig& mc, const SweepPlan& plan,
-                const PrefixTemplate* tmpl, TailMemo* memo,
-                SharedState& shared, const CheckProgressFn& progress,
-                WorkerTally& tally) {
+/// Visit every combination whose first slot is `first`.
+SubtreeTally run_subtree(const ModelCheckConfig& mc, const SweepPlan& plan,
+                         const PrefixTemplate* tmpl, TailMemo* memo,
+                         SharedState& shared, const CheckProgressFn& progress,
+                         std::size_t first) {
+  SubtreeTally tally;
   const int k = mc.base.errors;
   const auto n_slots = static_cast<long long>(plan.slots.size());
   std::vector<std::pair<NodeId, int>> chosen;
@@ -459,16 +461,11 @@ void run_worker(const ModelCheckConfig& mc, const SweepPlan& plan,
     }
   };
 
-  for (;;) {
-    if (shared.stop.load(std::memory_order_relaxed)) break;
-    const long long first =
-        shared.next_first.fetch_add(1, std::memory_order_relaxed);
-    if (first > n_slots - k) break;
-    chosen.clear();
-    chosen.push_back(plan.slots[static_cast<std::size_t>(first)]);
-    recurse(first + 1);
-  }
+  if (shared.stop.load(std::memory_order_relaxed)) return tally;
+  chosen.push_back(plan.slots[first]);
+  recurse(static_cast<long long>(first) + 1);
   if (since_progress > 0) note_progress(since_progress);
+  return tally;
 }
 
 }  // namespace
@@ -484,17 +481,6 @@ ModelCheckResult run_model_check(const ModelCheckConfig& cfg,
         " flip slots of the window");
   }
 
-  int jobs = cfg.jobs;
-  if (jobs == 0) {
-    jobs = static_cast<int>(std::thread::hardware_concurrency());
-    if (jobs < 1) jobs = 1;
-  }
-  // Never spawn more workers than first-slot subtrees.
-  const auto subtrees =
-      static_cast<long long>(plan.slots.size()) - cfg.base.errors + 1;
-  jobs = static_cast<int>(
-      std::min<long long>(jobs, std::max<long long>(subtrees, 1)));
-
   const auto t0 = std::chrono::steady_clock::now();
 
   PrefixTemplate* tmpl = nullptr;
@@ -508,26 +494,21 @@ ModelCheckResult run_model_check(const ModelCheckConfig& cfg,
     memo = memo_owner.get();
   }
 
+  // One task per first-slot subtree.  Tallies merge in subtree order, so
+  // a complete sweep reports the same examples for any jobs value.
+  const std::size_t subtrees =
+      plan.slots.size() - static_cast<std::size_t>(cfg.base.errors) + 1;
   SharedState shared;
-  std::vector<WorkerTally> tallies(static_cast<std::size_t>(jobs));
-  if (jobs == 1) {
-    run_worker(cfg, plan, tmpl, memo, shared, progress, tallies[0]);
-  } else {
-    std::vector<std::thread> threads;
-    threads.reserve(static_cast<std::size_t>(jobs));
-    for (int j = 0; j < jobs; ++j) {
-      threads.emplace_back([&, j] {
-        run_worker(cfg, plan, tmpl, memo, shared, progress,
-                   tallies[static_cast<std::size_t>(j)]);
-      });
-    }
-    for (std::thread& th : threads) th.join();
-  }
+  std::vector<SubtreeTally> tallies(subtrees);
+  parallel_for(subtrees, cfg.jobs, [&](std::size_t first) {
+    tallies[first] =
+        run_subtree(cfg, plan, tmpl, memo, shared, progress, first);
+  });
 
   ModelCheckResult res;
   res.cfg = plan.cfg;
   res.complete = !shared.stop.load();
-  for (const WorkerTally& t : tallies) {
+  for (const SubtreeTally& t : tallies) {
     res.cases += t.cases;
     res.imo += t.imo;
     res.double_rx += t.double_rx;
@@ -544,7 +525,8 @@ ModelCheckResult run_model_check(const ModelCheckConfig& cfg,
     }
   }
   res.stats.distinct_tails = memo ? memo->size() : 0;
-  res.stats.jobs = jobs;
+  res.stats.jobs = static_cast<int>(
+      std::min(static_cast<std::size_t>(resolve_jobs(cfg.jobs)), subtrees));
   res.stats.seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();

@@ -20,9 +20,11 @@
 //   * symmetry reduction — receiver nodes are interchangeable, so only a
 //     canonical representative per receiver-permutation orbit is run and
 //     its outcome is counted with the orbit size as weight;
-//   * work distribution — first-flip subtrees form a shared queue that
-//     worker threads claim dynamically (cheap work stealing), so uneven
-//     subtree cost does not serialise the sweep.
+//   * work distribution — each first-flip subtree is one parallel_for
+//     index (util/parallel.hpp) that worker threads claim dynamically, so
+//     uneven subtree cost does not serialise the sweep.  Tallies are kept
+//     per subtree and merged in subtree order, so a complete sweep reports
+//     the same counts and examples for any jobs value.
 //
 // With jobs=1, dedup=false, symmetry=false the engine degenerates to the
 // reference enumerator (same visit order, same counts, same examples);
@@ -44,8 +46,7 @@ namespace mcan {
 struct ModelCheckConfig {
   ExhaustiveConfig base;
 
-  /// Worker threads; 0 = one per hardware thread.  jobs=1 runs inline
-  /// (deterministic example order).
+  /// Worker threads; 0 = one per hardware thread.  jobs=1 runs inline.
   int jobs = 0;
 
   /// Tail memoization + prefix cloning.

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -323,6 +324,13 @@ bool is_fig3_certificate(const TriagedFinding& f) {
   };
   // Canonical sort puts the transmitter (node 0) first.
   return eof_at(a, 0, 6) && b.seg == Seg::Eof && b.index == 5 && b.node != 0;
+}
+
+TEST(FuzzEngine, RejectsNegativeJobs) {
+  FuzzConfig cfg;
+  cfg.max_execs = 8;
+  cfg.jobs = -1;
+  EXPECT_THROW((void)run_fuzz(cfg), std::invalid_argument);
 }
 
 TEST(FuzzAcceptance, RediscoversCanImoWithinBudget) {

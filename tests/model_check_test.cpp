@@ -117,6 +117,30 @@ TEST(ModelCheck, ZeroBudgetMeansExhaustive) {
   EXPECT_EQ(r.cases, 45);
 }
 
+TEST(ModelCheck, ExamplesIndependentOfJobs) {
+  // Tallies are kept per first-slot subtree and merged in subtree order,
+  // so a complete sweep keeps the same examples for any thread count.
+  ModelCheckConfig mc;
+  mc.base.protocol = ProtocolParams::standard_can();
+  mc.base.n_nodes = 3;
+  mc.base.errors = 2;
+  mc.max_examples = 5;
+  mc.jobs = 1;
+  const ModelCheckResult one = run_model_check(mc);
+  mc.jobs = 4;
+  const ModelCheckResult four = run_model_check(mc);
+  ASSERT_TRUE(one.complete);
+  ASSERT_TRUE(four.complete);
+  expect_same_counts(one, four, "CAN k=2 jobs=1 vs jobs=4");
+  ASSERT_EQ(one.examples.size(), 5u);
+  ASSERT_EQ(one.examples.size(), four.examples.size());
+  for (std::size_t i = 0; i < one.examples.size(); ++i) {
+    EXPECT_EQ(one.examples[i].flips, four.examples[i].flips) << "example " << i;
+    EXPECT_EQ(one.examples[i].outcome, four.examples[i].outcome)
+        << "example " << i;
+  }
+}
+
 // --- progress ---------------------------------------------------------------
 
 TEST(ModelCheck, ProgressCallbackFires) {

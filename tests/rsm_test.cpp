@@ -635,15 +635,27 @@ TEST(RsmCheck, ResultIndependentOfJobCount) {
   cfg.max_frames = 1;
   cfg.jobs = 1;
   const RsmCheckResult a = run_rsm_check(cfg);
-  cfg.jobs = 4;
-  const RsmCheckResult b = run_rsm_check(cfg);
-  EXPECT_EQ(a.cases, b.cases);
-  EXPECT_EQ(a.clean, b.clean);
-  EXPECT_EQ(a.summary(), b.summary());
-  ASSERT_EQ(a.findings.size(), b.findings.size());
-  for (std::size_t i = 0; i < a.findings.size(); ++i) {
-    EXPECT_EQ(a.findings[i], b.findings[i]) << "finding " << i;
+  ASSERT_FALSE(a.findings.empty()) << a.summary();
+  // jobs=0 is one thread per core; summary() carries every count.
+  for (const int jobs : {0, 4}) {
+    cfg.jobs = jobs;
+    const RsmCheckResult b = run_rsm_check(cfg);
+    EXPECT_EQ(a.summary(), b.summary()) << "jobs=" << jobs;
+    ASSERT_EQ(a.findings.size(), b.findings.size()) << "jobs=" << jobs;
+    for (std::size_t i = 0; i < a.findings.size(); ++i) {
+      EXPECT_EQ(a.findings[i], b.findings[i])
+          << "jobs=" << jobs << " finding " << i;
+    }
   }
+}
+
+TEST(RsmCheck, RejectsNegativeJobs) {
+  RsmCheckConfig cfg;
+  cfg.base.protocol = ProtocolParams::standard_can();
+  cfg.base.n_nodes = 2;
+  cfg.base.rsm = small_workload(2, 2, 2);
+  cfg.jobs = -1;
+  EXPECT_THROW((void)run_rsm_check(cfg), std::invalid_argument);
 }
 
 // --- the consensus fuzzing oracle ------------------------------------------
