@@ -39,7 +39,7 @@ int main(int argc, char** argv) {
     }
     try {
       const ScenarioSpec spec = load_scenario_file(argv[2]);
-      const DslRunResult res = run_scenario(spec);
+      const DslRunResult res = run_scenario(spec, {}, /*trace=*/true);
       std::printf("%s\n", res.outcome.summary().c_str());
       std::printf("%s: %s\n\n", res.expectation_text.c_str(),
                   res.expectation_met ? "MET" : "NOT MET");

@@ -189,9 +189,9 @@ RsmRunResult run_rsm_scenario(const ScenarioSpec& spec,
 }
 
 DslRunResult run_any_scenario(const ScenarioSpec& spec,
-                              const InvariantConfig& inv) {
+                              const InvariantConfig& inv, bool trace) {
   if (spec.rsm) return run_rsm_scenario(spec, inv).base;
-  return run_scenario(spec, inv);
+  return run_scenario(spec, inv, trace);
 }
 
 }  // namespace mcan

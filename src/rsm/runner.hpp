@@ -45,7 +45,9 @@ struct RsmRunResult {
 
 /// Dispatch: run_rsm_scenario(...).base for RSM scenarios, run_scenario
 /// otherwise — so linting and replay tools handle any .scn uniformly.
+/// `trace` is run_scenario's opt-in; RSM runs render no trace.
 [[nodiscard]] DslRunResult run_any_scenario(const ScenarioSpec& spec,
-                                            const InvariantConfig& inv = {});
+                                            const InvariantConfig& inv = {},
+                                            bool trace = false);
 
 }  // namespace mcan

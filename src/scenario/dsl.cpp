@@ -326,16 +326,15 @@ ScenarioSpec load_scenario_file(const std::string& path) {
 }
 
 DslRunResult run_scenario(const ScenarioSpec& spec,
-                          const InvariantConfig& inv) {
+                          const InvariantConfig& inv, bool trace) {
   if (spec.rsm) {
     throw std::invalid_argument(
         "scenario '" + spec.name +
         "' carries an rsm workload; run it through run_rsm_scenario or "
         "run_any_scenario (src/rsm/runner.hpp)");
   }
-  // Reuse the figure engine for the run + trace, then layer the crash.
   Network net(spec.n_nodes, spec.protocol);
-  net.enable_trace();
+  if (trace) net.enable_trace();
   ScriptedFaults inj(spec.flips);
   AttackEngine attacker(spec.attacks);
   CompositeInjector faults;
@@ -446,7 +445,7 @@ DslRunResult run_scenario(const ScenarioSpec& spec,
       static_cast<int>(net.log().count(EventKind::SofSent, 0));
   res.outcome.tx_crashed = spec.crash.has_value();
   res.outcome.faults_all_fired = inj.all_fired();
-  res.outcome.trace = net.trace().render(net.labels());
+  if (trace) res.outcome.trace = net.trace().render(net.labels());
 
   // The injector never observes a victim's terminal state (a bus-off node
   // stops driving bits), so the verdict comes from the controller itself.

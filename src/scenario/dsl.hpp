@@ -132,11 +132,15 @@ struct DslRunResult {
 
 /// Run the scenario and evaluate its `expect` clause.  Every run is also
 /// watched by an InvariantChecker; its report lands in the result (pass a
-/// config to tune or disable individual rules).  Scenarios carrying an
-/// `rsm` workload are rejected with std::invalid_argument — run those
-/// through run_rsm_scenario / run_any_scenario (src/rsm/runner.hpp), which
-/// layer the consensus stack this runner knows nothing about.
+/// config to tune or disable individual rules).  The per-bit trace is
+/// opt-in: only with `trace` set is it recorded and rendered into
+/// `outcome.trace` (otherwise that stays empty); every other field of the
+/// result is the same either way.  Scenarios carrying an `rsm` workload
+/// are rejected with std::invalid_argument — run those through
+/// run_rsm_scenario / run_any_scenario (src/rsm/runner.hpp), which layer
+/// the consensus stack this runner knows nothing about.
 [[nodiscard]] DslRunResult run_scenario(const ScenarioSpec& spec,
-                                        const InvariantConfig& inv = {});
+                                        const InvariantConfig& inv = {},
+                                        bool trace = false);
 
 }  // namespace mcan

@@ -29,7 +29,7 @@ struct ScenarioOutcome {
   int tx_attempts = 0;          ///< SofSent events at the transmitter
   bool tx_crashed = false;
   bool faults_all_fired = false;  ///< scenario script sanity
-  std::string trace;              ///< rendered timeline
+  std::string trace;              ///< rendered timeline (opt-in in run_scenario)
   std::vector<std::string> notes;
 
   /// Inconsistent message omission among receivers: some got it, some never.

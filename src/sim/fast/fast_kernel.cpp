@@ -412,13 +412,17 @@ void FastKernel::step_bit(FaultInjector& inj, bool quiet_inj) {
   }
   const bool want_infos = records || !quiet_inj;
 
-  views_.assign(n, Level::Recessive);
-  active_.assign(n, false);
+  // Fill the simulator's record in place; without observers only the
+  // arrays this bit's own logic reads are kept current.
+  BitRecord& rec = sim_.rec_;
+  rec.view.assign(n, Level::Recessive);
+  rec.active.assign(n, false);
   if (records) {
-    driven_.assign(n, Level::Recessive);
-    disturbed_.assign(n, false);
+    rec.t = t;
+    rec.driven.assign(n, Level::Recessive);
+    rec.disturbed.assign(n, false);
   }
-  if (want_infos) infos_.resize(n);
+  if (want_infos) rec.info.resize(n);
 
   // Phase 1: drive.  Group shadows drive once for all members (pure: a
   // grouped queue is empty by construction, so drive() cannot start a
@@ -440,23 +444,23 @@ void FastKernel::step_bit(FaultInjector& inj, bool quiet_inj) {
     if (gi >= 0) {
       const Group& g = *groups_[gi];
       if (g.active) {
-        active_[i] = true;
-        if (want_infos) infos_[i] = g.info;
-        if (records) driven_[i] = g.driven;
+        rec.active[i] = true;
+        if (want_infos) rec.info[i] = g.info;
+        if (records) rec.driven[i] = g.driven;
       } else if (records) {
-        infos_[i] = off_info();
+        rec.info[i] = off_info();
       }
       continue;
     }
     Simulator::Slot& s = sim_.nodes_[i];
     if (s.crashed || !s.node->active()) {
-      if (records) infos_[i] = off_info();
+      if (records) rec.info[i] = off_info();
       continue;
     }
-    active_[i] = true;
+    rec.active[i] = true;
     const Level d = s.node->drive(t);
-    if (records) driven_[i] = d;
-    if (want_infos) infos_[i] = s.node->bit_info();
+    if (records) rec.driven[i] = d;
+    if (want_infos) rec.info[i] = s.node->bit_info();
     bus = bus & d;
   }
 
@@ -467,21 +471,21 @@ void FastKernel::step_bit(FaultInjector& inj, bool quiet_inj) {
   // bit as a singleton.
   if (!quiet_inj) {
     for (std::size_t i = 0; i < n; ++i) {
-      if (!active_[i]) {
-        views_[i] = bus;
+      if (!rec.active[i]) {
+        rec.view[i] = bus;
         continue;
       }
-      const bool f = inj.flips(sim_.nodes_[i].node->id(), t, infos_[i], bus);
+      const bool f = inj.flips(sim_.nodes_[i].node->id(), t, rec.info[i], bus);
       if (f) {
-        views_[i] = flip(bus);
-        if (records) disturbed_[i] = true;
+        rec.view[i] = flip(bus);
+        if (records) rec.disturbed[i] = true;
         if (group_of_[i] >= 0) drop_member(static_cast<std::uint32_t>(i));
       } else {
-        views_[i] = bus;
+        rec.view[i] = bus;
       }
     }
   } else {
-    for (std::size_t i = 0; i < n; ++i) views_[i] = bus;
+    for (std::size_t i = 0; i < n; ++i) rec.view[i] = bus;
   }
 
   // Phase 2b: group trials.  A bit classified quiet advances the shadow
@@ -521,7 +525,7 @@ void FastKernel::step_bit(FaultInjector& inj, bool quiet_inj) {
         c->proxy_ = nullptr;
         c->copy_runtime_state_from(*g.prev);
       }
-      c->sample(t, views_[i]);
+      c->sample(t, rec.view[i]);
       if (!c->fast_touched_) {
         if (paranoid()) {
           key_a_.clear();
@@ -537,8 +541,8 @@ void FastKernel::step_bit(FaultInjector& inj, bool quiet_inj) {
       }
       continue;
     }
-    if (!active_[i]) continue;
-    sim_.nodes_[i].node->sample(t, views_[i]);
+    if (!rec.active[i]) continue;
+    sim_.nodes_[i].node->sample(t, rec.view[i]);
   }
   for (auto& gp : groups_) {
     if (gp && gp->live && gp->dirty) gp->scratch->clear();
@@ -546,14 +550,7 @@ void FastKernel::step_bit(FaultInjector& inj, bool quiet_inj) {
 
   // Phase 3: trace.
   if (records) {
-    BitRecord rec;
-    rec.t = t;
     rec.bus = bus;
-    rec.driven = driven_;
-    rec.view = views_;
-    rec.info = infos_;
-    rec.disturbed = disturbed_;
-    rec.active = active_;
     for (TraceObserver* obs : sim_.observers_) obs->on_bit(rec);
   }
 

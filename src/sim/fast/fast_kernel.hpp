@@ -126,12 +126,6 @@ class FastKernel final : public KernelBackend {
   std::vector<Group*> batch_groups_;
   std::vector<CanController*> batch_followers_;
 
-  // Per-bit scratch buffers (mirrors the reference kernel's).
-  std::vector<Level> driven_;
-  std::vector<NodeBitInfo> infos_;
-  std::vector<Level> views_;
-  std::vector<bool> active_;
-  std::vector<bool> disturbed_;
   std::string key_a_, key_b_;              ///< digest scratch
 };
 

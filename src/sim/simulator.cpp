@@ -96,11 +96,13 @@ void Simulator::step_reference() {
     }
   }
 
-  driven_.assign(n, Level::Recessive);
-  infos_.resize(n);
-  views_.assign(n, Level::Recessive);
-  active_.assign(n, false);
-  disturbed_.assign(n, false);
+  BitRecord& rec = rec_;
+  rec.t = now_;
+  rec.driven.assign(n, Level::Recessive);
+  rec.info.resize(n);
+  rec.view.assign(n, Level::Recessive);
+  rec.active.assign(n, false);
+  rec.disturbed.assign(n, false);
 
   // Phase 1: drive.  Participation is latched here: a node whose
   // fault-confinement state flips to bus-off during this bit's sample
@@ -111,46 +113,36 @@ void Simulator::step_reference() {
   for (std::size_t i = 0; i < n; ++i) {
     Slot& s = nodes_[i];
     if (s.crashed || !s.node->active()) {
-      driven_[i] = Level::Recessive;
-      infos_[i] = NodeBitInfo{};
-      infos_[i].seg = Seg::Off;
+      rec.info[i] = NodeBitInfo{};
+      rec.info[i].seg = Seg::Off;
       continue;
     }
-    active_[i] = true;
-    driven_[i] = s.node->drive(now_);
-    infos_[i] = s.node->bit_info();
-    bus = bus & driven_[i];
+    rec.active[i] = true;
+    rec.driven[i] = s.node->drive(now_);
+    rec.info[i] = s.node->bit_info();
+    bus = bus & rec.driven[i];
   }
+  rec.bus = bus;
 
   // Phase 2: resolve views and sample.
   for (std::size_t i = 0; i < n; ++i) {
     Slot& s = nodes_[i];
     if (s.crashed || !s.node->active()) {
-      views_[i] = bus;
+      rec.view[i] = bus;
       continue;
     }
-    bool f = inj.flips(s.node->id(), now_, infos_[i], bus);
-    disturbed_[i] = f;
-    views_[i] = f ? flip(bus) : bus;
+    const bool f = inj.flips(s.node->id(), now_, rec.info[i], bus);
+    rec.disturbed[i] = f;
+    rec.view[i] = f ? flip(bus) : bus;
   }
   for (std::size_t i = 0; i < n; ++i) {
     Slot& s = nodes_[i];
     if (s.crashed || !s.node->active()) continue;
-    s.node->sample(now_, views_[i]);
+    s.node->sample(now_, rec.view[i]);
   }
 
   // Phase 3: trace.
-  if (!observers_.empty()) {
-    BitRecord rec;
-    rec.t = now_;
-    rec.bus = bus;
-    rec.driven = driven_;
-    rec.view = views_;
-    rec.info = infos_;
-    rec.disturbed = disturbed_;
-    rec.active = active_;
-    for (TraceObserver* obs : observers_) obs->on_bit(rec);
-  }
+  for (TraceObserver* obs : observers_) obs->on_bit(rec);
 
   maybe_idle_ = bus == Level::Recessive;
   ++now_;

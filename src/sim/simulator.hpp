@@ -24,6 +24,18 @@ namespace mcan {
 class TraceObserver;
 class FastKernel;
 
+/// Per-bit record handed to trace observers.
+struct BitRecord {
+  BitTime t = 0;
+  Level bus = Level::Recessive;
+  // Parallel arrays, one entry per attached node (in attach order).
+  std::vector<Level> driven;
+  std::vector<Level> view;
+  std::vector<NodeBitInfo> info;
+  std::vector<bool> disturbed;
+  std::vector<bool> active;
+};
+
 /// A pluggable bit engine.  The simulator's own per-bit loop
 /// (step_reference) is the specification; an installed backend replaces it
 /// with an optimized execution of the *same* semantics — every observable
@@ -134,29 +146,19 @@ class Simulator {
   // idle and saturated workloads never pay for it.
   bool maybe_idle_ = true;
 
-  // Scratch buffers reused across steps to avoid per-bit allocation.
-  std::vector<Level> driven_;
-  std::vector<NodeBitInfo> infos_;
-  std::vector<Level> views_;
-  std::vector<bool> active_;
-  std::vector<bool> disturbed_;
-};
-
-/// Per-bit record handed to trace observers.
-struct BitRecord {
-  BitTime t = 0;
-  Level bus = Level::Recessive;
-  // Parallel arrays, one entry per attached node (in attach order).
-  std::vector<Level> driven;
-  std::vector<Level> view;
-  std::vector<NodeBitInfo> info;
-  std::vector<bool> disturbed;
-  std::vector<bool> active;
+  // The one per-bit record: both kernels fill it in place (it doubles as
+  // their drive/view scratch), so its capacity is reused and a bit needs
+  // no heap allocation.  Observers see it only for the duration of on_bit.
+  BitRecord rec_;
 };
 
 class TraceObserver {
  public:
   virtual ~TraceObserver() = default;
+  /// Called once per simulated bit, observers in the order they were added.
+  /// `rec` is the simulator's own record, refilled in place every bit: it
+  /// is valid only for the duration of the call.  An observer that needs
+  /// the bit later must copy it (TraceRecorder does).
   virtual void on_bit(const BitRecord& rec) = 0;
 };
 

@@ -17,6 +17,7 @@ namespace mcan {
 
 class TraceRecorder final : public TraceObserver {
  public:
+  /// Copies the record: the simulator refills its one record every bit.
   void on_bit(const BitRecord& rec) override { bits_.push_back(rec); }
 
   [[nodiscard]] const std::vector<BitRecord>& bits() const { return bits_; }

@@ -67,9 +67,15 @@ void differential(const std::function<T()>& fn,
   check(ref, fast);
 }
 
-void expect_equal_runs(const DslRunResult& r, const DslRunResult& f) {
+/// Compare two runs of `spec`, made with the trace opted in.
+void expect_equal_runs(const ScenarioSpec& spec, const DslRunResult& r,
+                       const DslRunResult& f) {
   // The rendered timeline is the strongest single check: it covers the
-  // full bit-level trace, byte for byte.
+  // full bit-level trace, byte for byte.  RSM runs render none; every other
+  // run must, or this comparison would silently shrink to "" == "".
+  if (!spec.rsm) {
+    ASSERT_FALSE(r.outcome.trace.empty());
+  }
   EXPECT_EQ(r.outcome.trace, f.outcome.trace);
   EXPECT_EQ(r.outcome.deliveries, f.outcome.deliveries);
   EXPECT_EQ(r.outcome.tx_success, f.outcome.tx_success);
@@ -123,9 +129,9 @@ TEST(SimFastCorpus, EveryShippedScenarioIsBitIdentical) {
     SCOPED_TRACE(path);
     const ScenarioSpec spec = load_scenario_file(path);
     differential<DslRunResult>(
-        [&] { return run_any_scenario(spec); },
-        [](const DslRunResult& r, const DslRunResult& f) {
-          expect_equal_runs(r, f);
+        [&] { return run_any_scenario(spec, {}, /*trace=*/true); },
+        [&](const DslRunResult& r, const DslRunResult& f) {
+          expect_equal_runs(spec, r, f);
         });
   }
 }
