@@ -274,6 +274,11 @@ int cmd_estimate(Options& opt, bool require_journal) {
   opt.cfg.stop = &g_interrupted;
   const RareResult res = run_campaign(opt.cfg);
   std::printf("%s\n", res.summary().c_str());
+  if (res.tail_memo.hits + res.tail_memo.misses > 0) {
+    std::printf("  tail memo: %lld hits, %lld misses, %zu entries\n",
+                res.tail_memo.hits, res.tail_memo.misses,
+                res.tail_memo.entries);
+  }
   const int rc = write_json(opt, res);
   if (rc) return rc;
   if (g_interrupted.load()) {

@@ -35,16 +35,16 @@ void Network::enable_trace() { sim_.add_observer(trace_); }
 bool Network::run_until_quiet(BitTime max_bits) {
   // Let at least one bit pass so a just-enqueued frame gets started.
   sim_.step();
-  return sim_.run_until(
-      [this] {
-        for (const auto& node : nodes_) {
-          if (sim_.crashed(node->id())) continue;
-          if (!node->active()) continue;
-          if (!node->bus_idle() || node->pending_tx() > 0) return false;
-        }
-        return true;
-      },
-      max_bits);
+  return sim_.run_until([this] { return quiet(); }, max_bits);
+}
+
+bool Network::quiet() const {
+  for (const auto& node : nodes_) {
+    if (sim_.crashed(node->id())) continue;
+    if (!node->active()) continue;
+    if (!node->bus_idle() || node->pending_tx() > 0) return false;
+  }
+  return true;
 }
 
 std::vector<std::string> Network::labels() const {

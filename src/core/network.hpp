@@ -52,8 +52,15 @@ class Network {
   void set_injector(FaultInjector& inj) { sim_.set_injector(inj); }
 
   /// Run until every live node is idle with nothing queued, or `max_bits`.
-  /// Returns true if the bus quiesced.
+  /// Returns true if the bus quiesced.  The stop rule: one unconditional
+  /// step (so a just-enqueued frame gets started), then quiet() is tested
+  /// before every further step, at most `max_bits` of them, and once more
+  /// at the end.
   bool run_until_quiet(BitTime max_bits = 100000);
+
+  /// The quiescence predicate run_until_quiet stops on: every live node is
+  /// idle with nothing queued.
+  [[nodiscard]] bool quiet() const;
 
   /// Node labels ("tx 0", "rx 1", ...) for the trace renderer.
   [[nodiscard]] std::vector<std::string> labels() const;

@@ -87,10 +87,15 @@ class BiasedFaults final : public FaultInjector {
                            Level bus) override;
 
   /// Account for `draws` Bernoulli draws that were skipped by clean-prefix
-  /// cloning: under the proposal they are forced clean (tail-only base = 0),
-  /// so each contributes log(1-p) of likelihood ratio.  Only valid when
-  /// base == 0 — with a nonzero base the prefix must actually be simulated.
+  /// cloning or taken from the tail memo: under the proposal they are
+  /// forced clean (tail-only base = 0), so each contributes log(1-p) of
+  /// likelihood ratio.  Only valid when base == 0 — with a nonzero base the
+  /// prefix must actually be simulated.
   void account_clean_prefix(long long draws);
+
+  /// Forced-clean draws so far (made or accounted): the integer count
+  /// llr() folds in.
+  [[nodiscard]] long long clean_draws() const { return base_clean_; }
 
   /// Log-likelihood ratio log(dP/dQ) accumulated over all draws so far.
   [[nodiscard]] double llr() const;

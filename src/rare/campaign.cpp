@@ -212,7 +212,7 @@ void RareCampaign::execute_slot(std::size_t i) {
     return;
   }
   const PrefixState* prefix = prefix_ ? &*prefix_ : nullptr;
-  const TrialOutcome out = run_biased_trial(plan_, prefix, rng);
+  const TrialOutcome out = run_biased_trial(plan_, prefix, rng, &memo_);
   if (out.timeout) {
     s.timeouts = 1;
     return;
@@ -262,6 +262,7 @@ RareResult RareCampaign::result() const {
   res.dup = dup_;
   res.timeouts = timeouts_;
   res.resumed_from = resumed_from_;
+  res.tail_memo = memo_.stats();
   return res;
 }
 

@@ -12,7 +12,8 @@
 //   naive       unweighted Monte-Carlo from bit 0 (the baseline the
 //               variance-reduction factor is measured against);
 //   importance  biased tail-window sampling + Horvitz–Thompson weights
-//               (src/rare/bias.hpp), clean-prefix cloning;
+//               (src/rare/bias.hpp), clean-prefix cloning, tails from the
+//               tail memo (src/scenario/tail_memo.hpp);
 //   splitting   multilevel splitting layered on the biased proposal
 //               (src/rare/splitting.hpp).
 #pragma once
@@ -74,6 +75,10 @@ struct RareResult {
   long long resumed_from = 0;  ///< trials restored from the journal
   double seconds = 0;
   int jobs_used = 1;
+  /// How the tail memo served this process's trials (importance mode).
+  /// Run-local, like `seconds`, but never serialized: not in to_json(),
+  /// checkpoints or journals.
+  TailMemoStats tail_memo;
 
   [[nodiscard]] RareEstimate imo_estimate() const { return imo.estimate(); }
   [[nodiscard]] RareEstimate dup_estimate() const { return dup.estimate(); }
@@ -133,6 +138,12 @@ class RareCampaign {
   [[nodiscard]] long long trials_done() const { return done_; }
   [[nodiscard]] long long resumed_from() const { return resumed_from_; }
 
+  /// Tail-memo hits, misses and entries so far (all zero outside
+  /// importance mode).
+  [[nodiscard]] TailMemoStats tail_memo_stats() const {
+    return memo_.stats();
+  }
+
   /// One journal snapshot line ("snap ..."), exact to the bit (hex-float
   /// accumulators) — the checkpoint discipline the serve job journal
   /// reuses.  restore_checkpoint_line() is the inverse; false on a
@@ -155,6 +166,7 @@ class RareCampaign {
   RareConfig cfg_;
   ProbePlan plan_;
   std::optional<PrefixState> prefix_;
+  TailMemo memo_;  ///< shared by every thread executing slots
   std::vector<Slot> slots_;
   long long done_ = 0;
   long long resumed_from_ = 0;

@@ -92,7 +92,7 @@ std::unique_ptr<Network> make_trial_bus(const ProbePlan& plan,
 }
 
 TrialOutcome run_biased_trial(const ProbePlan& plan, const PrefixState* prefix,
-                              Rng rng) {
+                              Rng rng, TailMemo* memo) {
   if (!prefix && plan.t_first != 0) {
     throw std::logic_error("rare: plan expects a prefix template");
   }
@@ -101,20 +101,24 @@ TrialOutcome run_biased_trial(const ProbePlan& plan, const PrefixState* prefix,
   if (prefix) inj.account_clean_prefix(plan.prefix_draws());
   net->set_injector(inj);
 
-  const bool quiet = net->run_until_quiet(plan.quiet_budget);
+  // A prefix means a tail-only proposal (base == 0): past the cut it makes
+  // only forced-clean draws, so the tail is a function of the bus state.
+  const RunEnd end =
+      finish_run(*net, plan.t_first, plan.quiet_budget, plan.t_cut(),
+                 prefix ? memo : nullptr, [&inj] { return inj.clean_draws(); });
+  if (end.skipped_draws > 0) inj.account_clean_prefix(end.skipped_draws);
 
-  std::vector<int> deliveries(static_cast<std::size_t>(plan.n_nodes), 0);
-  for (int i = 0; i < plan.n_nodes; ++i) {
-    deliveries[static_cast<std::size_t>(i)] =
-        static_cast<int>(net->deliveries(i).size()) +
-        (prefix ? prefix->deliveries[static_cast<std::size_t>(i)] : 0);
+  std::vector<int> deliveries = end.deliveries;
+  int tx_success = end.tx_success;
+  if (prefix) {
+    for (std::size_t i = 0; i < deliveries.size(); ++i) {
+      deliveries[i] += prefix->deliveries[i];
+    }
+    tx_success += prefix->tx_success;
   }
-  const int tx_success =
-      static_cast<int>(net->log().count(EventKind::TxSuccess, 0)) +
-      (prefix ? prefix->tx_success : 0);
 
   TrialOutcome out =
-      classify_trial(plan.n_nodes, deliveries, tx_success, !quiet);
+      classify_trial(plan.n_nodes, deliveries, tx_success, !end.quiet);
   out.llr = inj.llr();
   return out;
 }

@@ -10,6 +10,9 @@
 // prefix cloning.  The skipped Bernoulli draws are folded into the
 // trial's likelihood ratio analytically, so the estimator is exactly the
 // one a full from-bit-0 simulation would produce for tail-window events.
+// Their tails (everything after the flip window) come from the campaign's
+// tail memo, the model checker's too: the draws a memo hit stands in for
+// are all forced clean and are folded in the same way.
 #pragma once
 
 #include <memory>
@@ -17,6 +20,7 @@
 
 #include "core/network.hpp"
 #include "rare/bias.hpp"
+#include "scenario/tail_memo.hpp"
 
 namespace mcan {
 
@@ -43,6 +47,12 @@ struct ProbePlan {
   /// Bernoulli draws skipped by starting at t_first instead of bit 0.
   [[nodiscard]] long long prefix_draws() const {
     return static_cast<long long>(n_nodes) * static_cast<long long>(t_first);
+  }
+
+  /// The first bit after the flip window: past it every draw is forced
+  /// clean (tail-only mode), so the trial's tail can be memoised.
+  [[nodiscard]] BitTime t_cut() const {
+    return static_cast<BitTime>(eof_start + bias.win_hi_rel + 1);
   }
 };
 
@@ -74,9 +84,16 @@ struct TrialOutcome {
 /// plan.t_first == 0 (full simulation from bit 0).  `rng` is the trial's
 /// private stream — the caller derives it as Rng(seed, trial_index) so
 /// results are independent of scheduling.
+///
+/// `memo`, when set, is the campaign's shared tail memo
+/// (scenario/tail_memo.hpp): a tail-only trial then simulates only the
+/// flip window and takes the rest from the memo.  Outcome and llr are
+/// bit-identical to the unmemoised run (memo == nullptr).  Ignored when
+/// the proposal can flip outside the window (base > 0) or without a prefix.
 [[nodiscard]] TrialOutcome run_biased_trial(const ProbePlan& plan,
                                             const PrefixState* prefix,
-                                            Rng rng);
+                                            Rng rng,
+                                            TailMemo* memo = nullptr);
 
 /// Build a network positioned at the plan's clone cut: fresh bus cloned
 /// from the template (or a fresh bus with the probe enqueued when there is

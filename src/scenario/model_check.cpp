@@ -1,19 +1,16 @@
 #include "scenario/model_check.hpp"
 
 #include <algorithm>
-#include <array>
 #include <atomic>
 #include <chrono>
 #include <memory>
-#include <mutex>
 #include <stdexcept>
-#include <unordered_map>
 
 #include "analysis/tagged.hpp"
 #include "core/network.hpp"
 #include "fault/scripted.hpp"
 #include "frame/encoder.hpp"
-#include "util/mutex.hpp"
+#include "scenario/tail_memo.hpp"
 #include "util/parallel.hpp"
 
 namespace mcan {
@@ -171,7 +168,7 @@ CaseOutcome run_full_case(const SweepPlan& plan,
 }
 
 // ---------------------------------------------------------------------------
-// dedup machinery: prefix template + tail memo
+// dedup machinery: prefix template + the shared tail memo
 // ---------------------------------------------------------------------------
 
 /// The clean-prefix template: a bus stepped (without faults) to t_first,
@@ -181,11 +178,19 @@ struct PrefixTemplate {
   Network net;
   std::vector<int> deliveries;
   int tx_success = 0;
+  /// The clean bus went quiet before the window opened, where the
+  /// reference run stops: cloning would simulate flips it never sees.
+  bool quiet_before_window = false;
 
   explicit PrefixTemplate(const SweepPlan& plan)
       : net(plan.cfg.n_nodes, plan.cfg.protocol) {
     net.node(0).enqueue(plan.frame);
-    while (net.sim().now() < plan.t_first) net.sim().step();
+    // The reference stop rule: one step, then quiet() before every step.
+    if (plan.t_first > 0) net.sim().step();
+    while (net.sim().now() < plan.t_first) {
+      quiet_before_window = quiet_before_window || net.quiet();
+      net.sim().step();
+    }
     deliveries.assign(static_cast<std::size_t>(plan.cfg.n_nodes), 0);
     for (int i = 0; i < plan.cfg.n_nodes; ++i) {
       deliveries[static_cast<std::size_t>(i)] =
@@ -195,68 +200,13 @@ struct PrefixTemplate {
   }
 };
 
-/// What happens between the dedup cut and quiescence, as count deltas.
-struct TailDelta {
-  std::vector<int> deliveries;  ///< per node, relative to the cut
-  int tx_success = 0;
-  bool timeout = false;
-};
-
-/// Sharded exact-key memo of simulation tails.  Keys are the concatenated
-/// append_state() digests of all nodes at t_cut — exact serializations, so
-/// equal keys mean bit-identical futures (no hash-collision risk: the map
-/// compares full keys on lookup).
-class TailMemo {
- public:
-  /// True + filled `out` on a hit.
-  bool lookup(const std::string& key, TailDelta& out) {
-    Shard& s = shard(key);
-    MutexLock lock(s.mu);
-    const auto it = s.map.find(key);
-    if (it == s.map.end()) return false;
-    out = it->second;
-    return true;
-  }
-
-  void insert(const std::string& key, const TailDelta& delta) {
-    Shard& s = shard(key);
-    MutexLock lock(s.mu);
-    s.map.emplace(key, delta);
-  }
-
-  [[nodiscard]] std::size_t size() const {
-    std::size_t n = 0;
-    for (const Shard& s : shards_) {
-      MutexLock lock(s.mu);
-      n += s.map.size();
-    }
-    return n;
-  }
-
- private:
-  struct Shard {
-    mutable Mutex mu;
-    std::unordered_map<std::string, TailDelta> map MCAN_GUARDED_BY(mu);
-  };
-
-  Shard& shard(const std::string& key) {
-    // Shard choice only spreads lock contention; memo hits/values are
-    // identical whichever shard holds a key, so the hash value never
-    // influences reported output.
-    // mcan-analyze: allow(nondet-hash) shard index never reaches output
-    return shards_[std::hash<std::string>{}(key) % shards_.size()];
-  }
-
-  std::array<Shard, 16> shards_;
-};
-
 /// Dedup execution: clone the prefix, simulate only the flip window, then
 /// finish from the memoized tail (simulating it on a miss).
 CaseOutcome run_dedup_case(const SweepPlan& plan, const PrefixTemplate& tmpl,
-                           TailMemo& memo, long long& memo_hits,
+                           TailMemo& memo,
                            const std::vector<std::pair<NodeId, int>>& flips) {
+  if (tmpl.quiet_before_window) return run_full_case(plan, flips);
   const ExhaustiveConfig& cfg = plan.cfg;
-  const auto n = static_cast<std::size_t>(cfg.n_nodes);
 
   Network net(cfg.n_nodes, cfg.protocol);
   for (int i = 0; i < cfg.n_nodes; ++i) {
@@ -271,47 +221,14 @@ CaseOutcome run_dedup_case(const SweepPlan& plan, const PrefixTemplate& tmpl,
   }
   net.set_injector(inj);
 
-  // Simulate the flip window: the only part whose evolution depends on
-  // this specific case.
-  while (net.sim().now() < plan.t_cut) net.sim().step();
-
-  // Counts accumulated inside the window (acceptance usually lands here).
-  std::vector<int> at_cut(n, 0);
-  for (int i = 0; i < cfg.n_nodes; ++i) {
-    at_cut[static_cast<std::size_t>(i)] =
-        static_cast<int>(net.deliveries(i).size());
+  // The reference run starts at bit 0; the clone resumes it at t_first.
+  const RunEnd end = finish_run(net, 0, kQuietBudget, plan.t_cut, &memo);
+  std::vector<int> final_counts(end.deliveries);
+  for (std::size_t i = 0; i < final_counts.size(); ++i) {
+    final_counts[i] += tmpl.deliveries[i];
   }
-  const int tx_at_cut =
-      static_cast<int>(net.log().count(EventKind::TxSuccess, 0));
-
-  // Key the tail on the exact machine state of all nodes.
-  std::string key;
-  key.reserve(256);
-  for (int i = 0; i < cfg.n_nodes; ++i) net.node(i).append_state(key);
-
-  TailDelta delta;
-  if (memo.lookup(key, delta)) {
-    ++memo_hits;
-  } else {
-    const bool quiet = net.run_until_quiet(kQuietBudget);
-    delta.deliveries.assign(n, 0);
-    for (int i = 0; i < cfg.n_nodes; ++i) {
-      delta.deliveries[static_cast<std::size_t>(i)] =
-          static_cast<int>(net.deliveries(i).size()) -
-          at_cut[static_cast<std::size_t>(i)];
-    }
-    delta.tx_success =
-        static_cast<int>(net.log().count(EventKind::TxSuccess, 0)) - tx_at_cut;
-    delta.timeout = !quiet;
-    memo.insert(key, delta);
-  }
-
-  std::vector<int> final_counts(n, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    final_counts[i] = tmpl.deliveries[i] + at_cut[i] + delta.deliveries[i];
-  }
-  const int tx_final = tmpl.tx_success + tx_at_cut + delta.tx_success;
-  return classify(cfg.n_nodes, final_counts, tx_final, delta.timeout);
+  return classify(cfg.n_nodes, final_counts, tmpl.tx_success + end.tx_success,
+                  !end.quiet);
 }
 
 // ---------------------------------------------------------------------------
@@ -375,7 +292,6 @@ struct SubtreeTally {
   long long timeouts = 0;
   long long enumerated = 0;
   long long simulated = 0;
-  long long memo_hits = 0;
   long long symmetry_skips = 0;
   std::vector<Counterexample> examples;
 };
@@ -435,7 +351,7 @@ SubtreeTally run_subtree(const ModelCheckConfig& mc, const SweepPlan& plan,
 
       CaseOutcome out;
       if (mc.dedup) {
-        out = run_dedup_case(plan, *tmpl, *memo, tally.memo_hits, chosen);
+        out = run_dedup_case(plan, *tmpl, *memo, chosen);
         ++tally.simulated;  // window simulated even on a memo hit
       } else {
         out = run_full_case(plan, chosen);
@@ -516,7 +432,6 @@ ModelCheckResult run_model_check(const ModelCheckConfig& cfg,
     res.timeouts += t.timeouts;
     res.stats.enumerated += t.enumerated;
     res.stats.simulated += t.simulated;
-    res.stats.tail_memo_hits += t.memo_hits;
     res.stats.symmetry_skips += t.symmetry_skips;
     for (const Counterexample& ce : t.examples) {
       if (static_cast<int>(res.examples.size()) < cfg.max_examples) {
@@ -524,7 +439,11 @@ ModelCheckResult run_model_check(const ModelCheckConfig& cfg,
       }
     }
   }
-  res.stats.distinct_tails = memo ? memo->size() : 0;
+  if (memo) {
+    const TailMemoStats memo_stats = memo->stats();
+    res.stats.tail_memo_hits = memo_stats.hits;
+    res.stats.distinct_tails = memo_stats.entries;
+  }
   res.stats.jobs = static_cast<int>(
       std::min(static_cast<std::size_t>(resolve_jobs(cfg.jobs)), subtrees));
   res.stats.seconds =

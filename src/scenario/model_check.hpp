@@ -14,9 +14,10 @@
 //     (CanController::clone_runtime_state) with the simulator clock warped
 //     to the window start;
 //   * tail memoization — after the last possible flip the bus evolves
-//     deterministically, so the quiescence tail is keyed on the exact
-//     serialized machine state of all nodes (append_state) and each
-//     distinct end-game state is simulated once;
+//     deterministically, so the quiescence tail is keyed on the
+//     receiver-canonical machine state of the nodes (scenario/tail_memo.hpp,
+//     shared with the rare-event engine) and each distinct end-game state
+//     is simulated once;
 //   * symmetry reduction — receiver nodes are interchangeable, so only a
 //     canonical representative per receiver-permutation orbit is run and
 //     its outcome is counted with the orbit size as weight;

@@ -39,7 +39,9 @@ struct JobManager::Job {
   std::string kind;
   std::string spec_text;
   std::string fingerprint;
-  std::unique_ptr<CampaignBackend> backend;  ///< null for restored terminals
+  /// The engine; released (null) once the job is terminal.  Shared with
+  /// the workers' claims, so a shard still executing keeps it alive.
+  std::shared_ptr<CampaignBackend> backend;
 
   // Current round.
   std::uint64_t round = 0;
@@ -218,6 +220,7 @@ bool JobManager::cancel(std::uint64_t id, std::string& error) {
   job->state = JobState::kCancelled;
   job->planned = false;
   job->shards.clear();  // outstanding completions become stale
+  job->backend.reset();
   (void)journal_.append_cancelled(id);
   work_cv_.notify_all();
   return true;
@@ -377,6 +380,9 @@ void JobManager::finalize_locked(Job& job) {
   }
   job.planned = false;
   job.shards.clear();
+  // The result bytes are captured: the engine state is no longer needed
+  // and would otherwise live as long as the daemon.
+  job.backend.reset();
   work_cv_.notify_all();
 }
 
@@ -385,6 +391,7 @@ void JobManager::fail_locked(Job& job, const std::string& why) {
   job.error = why;
   job.planned = false;
   job.shards.clear();
+  job.backend.reset();
   (void)journal_.append_failed(job.id, why);
   work_cv_.notify_all();
 }
@@ -414,15 +421,9 @@ bool JobManager::claim_wait(Claim& out) {
         job->state = JobState::kRunning;
         out.ref = {job->id,  job->round, i, s.generation,
                    s.begin,  s.end};
-        out.backend = job->backend.get();
-        // Hold the Job alive (and with it the backend) across the
-        // lock-free execute phase, even if the job is cancelled meanwhile.
-        for (auto& owner : jobs_) {
-          if (owner.get() == job) {
-            out.hold = owner;
-            break;
-          }
-        }
+        // Shared ownership keeps the backend alive across the lock-free
+        // execute phase, even if the job ends and releases it meanwhile.
+        out.backend = job->backend;
         return true;
       }
     }

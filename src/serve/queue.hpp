@@ -65,8 +65,9 @@ struct ShardRef {
 
 struct Claim {
   ShardRef ref;
-  CampaignBackend* backend = nullptr;
-  std::shared_ptr<const void> hold;  ///< keeps the backend alive unlocked
+  /// Shared with the job, so the backend outlives the job releasing it
+  /// while this shard still executes.
+  std::shared_ptr<CampaignBackend> backend;
 };
 
 /// One job's public progress view (status and stats endpoints).

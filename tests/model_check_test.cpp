@@ -63,6 +63,38 @@ TEST(ModelCheck, EveryReductionMatchesReference) {
   }
 }
 
+TEST(ModelCheck, DedupStopsWhereTheReferenceStops) {
+  // The CAN/MinorCAN window ends at EOF+10, where a clean bus is already
+  // idle: the reference run stops there, so the dedup path must apply the
+  // same quiescence rule inside the window.  Counts and the complete
+  // example lists (flips and per-node delivery text) must agree.
+  for (const auto& proto :
+       {ProtocolParams::standard_can(), ProtocolParams::minor_can()}) {
+    for (int k = 1; k <= 2; ++k) {
+      ModelCheckConfig mc;
+      mc.base.protocol = proto;
+      mc.base.n_nodes = 3;
+      mc.base.errors = k;
+      mc.jobs = 1;
+      mc.symmetry = false;
+      mc.max_examples = 1 << 20;
+      mc.dedup = false;
+      const ModelCheckResult ref = run_model_check(mc);
+      mc.dedup = true;
+      const ModelCheckResult dedup = run_model_check(mc);
+      const std::string tag = proto.name() + " k=" + std::to_string(k);
+      expect_same_counts(ref, dedup, tag);
+      ASSERT_EQ(ref.examples.size(), dedup.examples.size()) << tag;
+      for (std::size_t i = 0; i < ref.examples.size(); ++i) {
+        EXPECT_EQ(ref.examples[i].flips, dedup.examples[i].flips)
+            << tag << " example " << i;
+        EXPECT_EQ(ref.examples[i].outcome, dedup.examples[i].outcome)
+            << tag << " example " << i;
+      }
+    }
+  }
+}
+
 TEST(ModelCheck, ReferenceModeMatchesRunExhaustive) {
   ExhaustiveConfig cfg;
   cfg.protocol = ProtocolParams::minor_can();

@@ -7,6 +7,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -177,6 +178,86 @@ TEST(RareTrial, ClonedPrefixMatchesFullSimulationExactly) {
     EXPECT_EQ(cloned.timeout, direct.timeout) << "trial " << i;
     EXPECT_DOUBLE_EQ(cloned.llr, direct.llr) << "trial " << i;
   }
+}
+
+// --- Tail memo: finishing trials from the memo is exact ---
+
+/// Runs `trials` trial streams with and without a tail memo and demands
+/// identical outcomes and bit-identical likelihood ratios.  Returns the
+/// memo's statistics.
+TailMemoStats expect_memo_exact(const ProbePlan& plan, int trials,
+                                const std::string& tag) {
+  const PrefixState prefix(plan);
+  TailMemo memo;
+  for (int i = 0; i < trials; ++i) {
+    const Rng rng(5, static_cast<std::uint64_t>(i));
+    const TrialOutcome plain = run_biased_trial(plan, &prefix, rng);
+    const TrialOutcome memoised = run_biased_trial(plan, &prefix, rng, &memo);
+    EXPECT_EQ(plain.imo, memoised.imo) << tag << " trial " << i;
+    EXPECT_EQ(plain.dup, memoised.dup) << tag << " trial " << i;
+    EXPECT_EQ(plain.loss, memoised.loss) << tag << " trial " << i;
+    EXPECT_EQ(plain.timeout, memoised.timeout) << tag << " trial " << i;
+    EXPECT_EQ(std::memcmp(&plain.llr, &memoised.llr, sizeof(double)), 0)
+        << tag << " trial " << i << ": " << plain.llr << " vs "
+        << memoised.llr;
+  }
+  return memo.stats();
+}
+
+TEST(TailMemo, MemoisedTrialsMatchUnmemoisedExactly) {
+  const struct {
+    ProtocolParams protocol;
+    int n;
+  } buses[] = {{ProtocolParams::standard_can(), 32},
+               {ProtocolParams::minor_can(), 8},
+               {ProtocolParams::major_can(3), 5},
+               {ProtocolParams::major_can(5), 16}};
+  for (const auto& bus : buses) {
+    const ProbePlan plan = ProbePlan::make(bus.protocol, bus.n, 1e-5, {});
+    const std::string tag = bus.protocol.name() + " n=" + std::to_string(bus.n);
+    const TailMemoStats st = expect_memo_exact(plan, 2000, tag);
+    EXPECT_GT(st.hits, 0) << tag;
+    EXPECT_GT(st.entries, 0u) << tag;
+    EXPECT_LE(static_cast<long long>(st.entries), st.misses) << tag;
+  }
+}
+
+TEST(TailMemo, BudgetsShorterThanTheWindowTimeOutIdentically) {
+  // The CAN window is 13 bits, so the run's last bit (t_first + 1 +
+  // budget) falls inside the window, on the cut, one bit past it, and a
+  // few bits into the tail: timeouts come from the memo too and must match.
+  long long timeouts = 0;
+  for (const BitTime budget : {BitTime{5}, BitTime{12}, BitTime{13},
+                               BitTime{20}, BitTime{40}}) {
+    const ProbePlan plan = ProbePlan::make(ProtocolParams::standard_can(), 8,
+                                           1e-3, {}, budget);
+    ASSERT_EQ(plan.t_cut() - plan.t_first, 13u);
+    const std::string tag = "budget=" + std::to_string(budget);
+    (void)expect_memo_exact(plan, 300, tag);
+    const PrefixState prefix(plan);
+    for (int i = 0; i < 300; ++i) {
+      timeouts += run_biased_trial(plan, &prefix,
+                                   Rng(5, static_cast<std::uint64_t>(i)))
+                      .timeout;
+    }
+  }
+  EXPECT_GT(timeouts, 0);
+}
+
+TEST(TailMemo, CampaignJsonIndependentOfJobsAtN32) {
+  RareConfig cfg;  // Table 1: CAN, N=32, ber 1e-5
+  cfg.trials = 2000;
+  cfg.seed = 3;
+  cfg.jobs = 1;
+  RareResult one = run_campaign(cfg);
+  cfg.jobs = 4;
+  RareResult four = run_campaign(cfg);
+  one.seconds = 0;
+  four.seconds = 0;
+  EXPECT_EQ(one.to_json(), four.to_json());
+  EXPECT_GT(one.tail_memo.hits, 0);
+  // The memo is run-local: it never reaches the serialized result.
+  EXPECT_EQ(one.to_json().find("memo"), std::string::npos);
 }
 
 TEST(Splitting, FactorOneReducesToPlainTrial) {

@@ -16,6 +16,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -179,6 +180,48 @@ TEST(Scheduler, CancelIsTerminalAndSticky) {
   std::string result;
   EXPECT_FALSE(mgr.result(id, state, result, error));
   EXPECT_EQ(state, JobState::kCancelled);
+  mgr.stop();
+}
+
+TEST(Scheduler, FinishedJobReleasesItsEngineAndStaysQueryable) {
+  JobManager mgr(ServeConfig{});  // driven by hand, no worker pool
+  std::string error;
+  bool rejected = false;
+  const std::uint64_t id = mgr.submit(rare_spec(3, 300), 0, error, rejected);
+  ASSERT_NE(id, 0u) << error;
+  std::weak_ptr<CampaignBackend> engine;
+  JobProgress p;
+  for (int round = 0; round < 1000; ++round) {
+    ASSERT_TRUE(mgr.status(id, p));
+    if (job_state_terminal(p.state)) break;
+    Claim claim;
+    ASSERT_TRUE(mgr.claim_wait(claim));
+    engine = claim.backend;
+    for (std::size_t i = claim.ref.begin; i < claim.ref.end; ++i) {
+      claim.backend->execute_slot(i);
+    }
+    mgr.complete(claim.ref);
+  }
+  ASSERT_EQ(p.state, JobState::kDone);
+  // The last claim is gone and the manager kept no reference of its own.
+  EXPECT_TRUE(engine.expired());
+
+  const std::string expected = local_rare_result(3, 300);
+  JobState state = JobState::kQueued;
+  std::string result;
+  ASSERT_TRUE(mgr.result(id, state, result, error)) << error;
+  EXPECT_EQ(result, expected);
+  EXPECT_EQ(p.units_done, 300u);
+
+  // Cancelling a finished job is a no-op: refused, nothing changes.
+  EXPECT_FALSE(mgr.cancel(id, error));
+  EXPECT_NE(error.find("already done"), std::string::npos) << error;
+  ASSERT_TRUE(mgr.status(id, p));
+  EXPECT_EQ(p.state, JobState::kDone);
+  EXPECT_EQ(p.units_done, 300u);
+  result.clear();
+  ASSERT_TRUE(mgr.result(id, state, result, error));
+  EXPECT_EQ(result, expected);
   mgr.stop();
 }
 
