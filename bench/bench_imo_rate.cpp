@@ -11,9 +11,9 @@
 #include <cstdio>
 
 #include "analysis/prob_model.hpp"
-#include "analysis/tagged.hpp"
 #include "core/network.hpp"
 #include "fault/random_faults.hpp"
+#include "scenario/probe.hpp"
 #include "scenario/sweep_cli.hpp"
 #include "util/text.hpp"
 
@@ -35,21 +35,16 @@ Measured measure(const ProtocolParams& proto, int n_nodes, double ber_star,
     Network net(n_nodes, proto);
     RandomFaults inj(ber_star, master.split(static_cast<std::uint64_t>(f)));
     net.set_injector(inj);
-    net.node(0).enqueue(make_tagged_frame(0x100, MsgKind::Data, MessageKey{0, 1}));
+    net.node(0).enqueue(model_check_frame());
     // Quiesce with the noise still on (the paper's model is a continuously
     // disturbed bus), bounded to avoid rare livelocks at high ber.
-    if (!net.run_until_quiet(4000)) continue;
+    const RunEnd end = finish_run(net, 0, 4000);
+    if (!end.quiet) continue;
     ++out.frames;
-    const bool tx_ok = net.log().count(EventKind::TxSuccess, 0) > 0;
-    bool any = false, all = true, dup = false;
-    for (int i = 1; i < n_nodes; ++i) {
-      const auto c = net.deliveries(i).size();
-      if (c > 0) any = true;
-      if (c == 0) all = false;
-      if (c > 1) dup = true;
-    }
-    if ((any || tx_ok) && !all) ++out.imo;
-    if (dup) ++out.dup;
+    const ProbeVerdict v =
+        classify_probe(end.deliveries, end.tx_success > 0, false);
+    if (v.imo) ++out.imo;
+    if (v.dup) ++out.dup;
   }
   return out;
 }

@@ -83,7 +83,7 @@ int main(int argc, char** argv) {
     base.errors = 2;
 
     const double t0 = now_seconds();
-    const ExhaustiveResult ref = run_exhaustive(base, 2);
+    const ModelCheckResult ref = run_exhaustive(base, 2);
     const double ref_s = now_seconds() - t0;
 
     ModelCheckConfig mc = make_config(opt, proto, 2);

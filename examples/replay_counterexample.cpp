@@ -7,11 +7,10 @@
 #include <cstdio>
 #include <string>
 
-#include "analysis/tagged.hpp"
 #include "core/network.hpp"
 #include "fault/scripted.hpp"
-#include "frame/encoder.hpp"
 #include "scenario/exhaustive.hpp"
+#include "scenario/probe.hpp"
 
 int main(int argc, char** argv) {
   using namespace mcan;
@@ -55,16 +54,14 @@ int main(int argc, char** argv) {
   // Re-run that exact pattern with tracing on.
   Network net(cfg.n_nodes, proto);
   net.enable_trace();
-  const Frame frame = make_tagged_frame(0x100, MsgKind::Data, MessageKey{0, 1});
-  const int eof_start =
-      wire_length(frame, proto.eof_bits()) - proto.eof_bits();
+  const int eof_start = model_check_eof_start(proto);
   ScriptedFaults inj;
   for (const auto& [node, pos] : ce.flips) {
     inj.add(FaultTarget::at_time(node, static_cast<BitTime>(eof_start + pos)));
   }
   net.set_injector(inj);
-  net.node(0).enqueue(frame);
-  net.run_until_quiet(30000);
+  net.node(0).enqueue(model_check_frame());
+  net.run_until_quiet(kProbeQuietBudget);
 
   const BitTime from = static_cast<BitTime>(eof_start > 8 ? eof_start - 8 : 0);
   std::printf("%s\n", net.trace()

@@ -38,6 +38,7 @@ class Network {
   [[nodiscard]] Simulator& sim() { return sim_; }
   [[nodiscard]] const Simulator& sim() const { return sim_; }
   [[nodiscard]] EventLog& log() { return log_; }
+  [[nodiscard]] const EventLog& log() const { return log_; }
   [[nodiscard]] TraceRecorder& trace() { return trace_; }
 
   /// Frames delivered at node `i`, in delivery order.

@@ -13,7 +13,7 @@
 //               variance-reduction factor is measured against);
 //   importance  biased tail-window sampling + Horvitz–Thompson weights
 //               (src/rare/bias.hpp), clean-prefix cloning, tails from the
-//               tail memo (src/scenario/tail_memo.hpp);
+//               tail memo (src/scenario/probe.hpp);
 //   splitting   multilevel splitting layered on the biased proposal
 //               (src/rare/splitting.hpp).
 #pragma once
@@ -46,7 +46,7 @@ struct RareConfig {
   long long trials = 20000;   ///< root trials (splitting counts roots)
   int jobs = 1;               ///< worker threads; 0 = one per hardware thread
   int batch = 256;            ///< trials per plan/execute/merge round
-  BitTime quiet_budget = 30000;
+  BitTime quiet_budget = kProbeQuietBudget;
   double bitrate = 1e6;       ///< reference bus, for the per-hour conversion
   double load = 0.9;
   std::string journal;            ///< checkpoint file; empty = no checkpoints

@@ -10,15 +10,14 @@ namespace {
 
 /// One live trajectory: bus state, its private injector (likelihood state
 /// travels with it), branch weight, and the delivery/TxSuccess counts
-/// accumulated by *ancestors* (clone_runtime_state does not copy journals,
-/// so counts are carried as offsets across splits).
+/// accumulated by the prefix and by *ancestors* (clone_bus does not copy
+/// journals, so counts are carried as offsets across splits).
 struct Particle {
   std::unique_ptr<Network> net;
   std::unique_ptr<BiasedFaults> inj;
   double weight = 1.0;
   int level = 0;
-  std::vector<int> delivery_offsets;
-  int tx_offset = 0;
+  ProbeCounts offsets;
 };
 
 int level_of(const BiasedFaults& inj) {
@@ -35,23 +34,15 @@ Particle clone_particle(const ProbePlan& plan, const Particle& src,
                         Rng child_rng) {
   Particle p;
   p.net = std::make_unique<Network>(plan.n_nodes, plan.protocol);
-  for (int i = 0; i < plan.n_nodes; ++i) {
-    p.net->node(i).clone_runtime_state(src.net->node(i));
-  }
-  p.net->sim().warp_to(src.net->sim().now());
+  clone_bus(*src.net, *p.net);
   p.inj = std::make_unique<BiasedFaults>(*src.inj);
   p.inj->reseed(child_rng);
   p.net->set_injector(*p.inj);
   p.level = src.level;
   // Fold the parent's own counts into the child's offsets: the child's
   // fresh journals restart at zero from the clone point.
-  p.delivery_offsets = src.delivery_offsets;
-  for (int i = 0; i < plan.n_nodes; ++i) {
-    p.delivery_offsets[static_cast<std::size_t>(i)] +=
-        static_cast<int>(src.net->deliveries(i).size());
-  }
-  p.tx_offset = src.tx_offset +
-                static_cast<int>(src.net->log().count(EventKind::TxSuccess, 0));
+  p.offsets = src.offsets;
+  p.offsets.add(*src.net);
   return p;
 }
 
@@ -75,23 +66,33 @@ SplitTrialResult run_split_trial(const ProbePlan& plan,
     throw std::logic_error(
         "splitting requires a tail-only plan (flips confined to the window)");
   }
-  // Beyond this bit no flip — hence no level crossing — can occur.
-  const BitTime t_cut =
-      static_cast<BitTime>(plan.eof_start + plan.bias.win_hi_rel + 1);
-
   SplitTrialResult res;
+  if (prefix.quiet_before_window) {
+    // The run from bit 0 stops before the window: no flip, no crossing,
+    // so the root is its only leaf.
+    const TrialOutcome out = run_biased_trial(plan, &prefix, rng);
+    res.leaves = 1;
+    res.timeouts = out.timeout ? 1 : 0;
+    if (out.imo) res.x_imo = std::exp(out.llr);
+    if (out.dup) res.x_dup = std::exp(out.llr);
+    return res;
+  }
+  // Beyond this bit no flip — hence no level crossing — can occur.
+  const BitTime t_cut = plan.t_cut();
+
   long long spawned = 1;       // particles created for this root
   std::uint64_t clone_seq = 0; // unique rng fork tags within the trial
 
   std::vector<Particle> stack;
   {
     Particle root;
-    root.net = make_trial_bus(plan, &prefix);
+    root.net = std::make_unique<Network>(plan.n_nodes, plan.protocol);
+    clone_bus(prefix.net, *root.net);
     root.inj = std::make_unique<BiasedFaults>(plan.ber_star, plan.bias,
                                               plan.eof_start, rng);
     root.inj->account_clean_prefix(plan.prefix_draws());
     root.net->set_injector(*root.inj);
-    root.delivery_offsets.assign(static_cast<std::size_t>(plan.n_nodes), 0);
+    root.offsets = prefix.counts;
     stack.push_back(std::move(root));
   }
 
@@ -130,20 +131,12 @@ SplitTrialResult run_split_trial(const ProbePlan& plan,
     if (split_away) continue;
 
     // Window exhausted: no further crossings possible.  Run to quiescence
-    // and classify with ancestor offsets folded in.
-    const bool quiet = p.net->run_until_quiet(plan.quiet_budget);
-    std::vector<int> deliveries(static_cast<std::size_t>(plan.n_nodes), 0);
-    for (int i = 0; i < plan.n_nodes; ++i) {
-      deliveries[static_cast<std::size_t>(i)] =
-          static_cast<int>(p.net->deliveries(i).size()) +
-          p.delivery_offsets[static_cast<std::size_t>(i)] +
-          prefix.deliveries[static_cast<std::size_t>(i)];
-    }
-    const int tx_success =
-        static_cast<int>(p.net->log().count(EventKind::TxSuccess, 0)) +
-        p.tx_offset + prefix.tx_success;
-    const TrialOutcome out =
-        classify_trial(plan.n_nodes, deliveries, tx_success, !quiet);
+    // (as run_until_quiet from here) and classify with the prefix and
+    // ancestor offsets folded in.
+    RunEnd end = finish_run(*p.net, p.net->sim().now(), plan.quiet_budget);
+    end.add(p.offsets);
+    const ProbeVerdict out =
+        classify_probe(end.deliveries, end.tx_success > 0, !end.quiet);
 
     ++res.leaves;
     if (out.timeout) {

@@ -11,17 +11,16 @@
 //            disturbed inside the window)
 //
 // When a trajectory first reaches a new level it is *split*: the whole
-// machine state of the bus is cloned (CanController::clone_runtime_state
-// + Simulator::warp_to — the model checker's prefix-cloning machinery,
-// applied mid-window) into `factor` children, each continuing with an
-// independent random stream and 1/factor of the parent's weight.  Total
-// weight is conserved at every split, so the estimator stays unbiased
-// while the effort concentrates on trajectories that already crossed the
-// rare thresholds.  Splitting runs on top of the biased proposal (the
-// likelihood ratio still corrects to the nominal measure), so the two
-// variance-reduction mechanisms compose — and give an estimate with
-// *different* error structure than plain importance sampling, which the
-// campaigns cross-validate against each other.
+// machine state of the bus is cloned (clone_bus, scenario/probe.hpp — the
+// probe module's bus clone, applied mid-window) into `factor` children,
+// each continuing with an independent random stream and 1/factor of the
+// parent's weight.  Total weight is conserved at every split, so the
+// estimator stays unbiased while the effort concentrates on trajectories
+// that already crossed the rare thresholds.  Splitting runs on top of the
+// biased proposal (the likelihood ratio still corrects to the nominal
+// measure), so the two variance-reduction mechanisms compose — and give an
+// estimate with *different* error structure than plain importance
+// sampling, which the campaigns cross-validate against each other.
 #pragma once
 
 #include "rare/trial.hpp"
@@ -49,7 +48,9 @@ struct SplitTrialResult {
 
 /// Run one root trial with splitting.  Requires a tail-only plan
 /// (plan.t_first > 0 with a prefix template): levels are defined by
-/// window flips, so flips must be confined to the window.
+/// window flips, so flips must be confined to the window.  When the clean
+/// bus is quiet by the window start, the root runs from bit 0 as a plain
+/// trial and is its only leaf.
 [[nodiscard]] SplitTrialResult run_split_trial(const ProbePlan& plan,
                                                const PrefixState& prefix,
                                                const SplitParams& sp,

@@ -2,9 +2,6 @@
 
 #include <stdexcept>
 
-#include "analysis/tagged.hpp"
-#include "scenario/model_check.hpp"
-
 namespace mcan {
 
 ProbePlan ProbePlan::make(const ProtocolParams& protocol, int n_nodes,
@@ -17,78 +14,20 @@ ProbePlan ProbePlan::make(const ProtocolParams& protocol, int n_nodes,
   if (!(ber > 0.0) || ber > 1.0) {
     throw std::invalid_argument("rare: ber must be in (0, 1]");
   }
-  ProbePlan plan;
-  plan.protocol = protocol;
-  plan.n_nodes = n_nodes;
-  plan.ber_star = ber / n_nodes;
   bias.resolve(protocol);
   bias.validate();
-  plan.bias = bias;
-  plan.frame = model_check_frame();
-  plan.eof_start = model_check_eof_start(protocol);
+  check_probe_window(protocol, bias.win_lo_rel, bias.win_hi_rel);
+  ProbePlan plan;
+  static_cast<ProbeEpisode&>(plan) = ProbeEpisode::make(
+      protocol, n_nodes, bias.win_lo_rel, bias.win_hi_rel);
   plan.quiet_budget = quiet_budget;
-  if (bias.base <= 0.0) {
-    // Tail-only: the prefix is clean under the proposal with certainty, so
-    // it can be simulated once and cloned.  (The window never starts
-    // before the frame: eof_start + win_lo_rel >= 0 is enforced here.)
-    const int cut = plan.eof_start + bias.win_lo_rel;
-    if (cut < 0) {
-      throw std::invalid_argument(
-          "rare: bias window starts before the probe frame (win_lo_rel=" +
-          std::to_string(bias.win_lo_rel) + ")");
-    }
-    plan.t_first = static_cast<BitTime>(cut);
-  } else {
-    plan.t_first = 0;  // flips possible anywhere: simulate from bit 0
-  }
+  plan.ber_star = ber / n_nodes;
+  plan.bias = bias;
+  // Tail-only: the prefix is clean under the proposal with certainty, so
+  // it can be simulated once and cloned.  Otherwise flips are possible
+  // anywhere: simulate from bit 0.
+  if (bias.base > 0.0) plan.t_first = 0;
   return plan;
-}
-
-PrefixState::PrefixState(const ProbePlan& plan)
-    : net(plan.n_nodes, plan.protocol) {
-  net.node(0).enqueue(plan.frame);
-  while (net.sim().now() < plan.t_first) net.sim().step();
-  deliveries.assign(static_cast<std::size_t>(plan.n_nodes), 0);
-  for (int i = 0; i < plan.n_nodes; ++i) {
-    deliveries[static_cast<std::size_t>(i)] =
-        static_cast<int>(net.deliveries(i).size());
-  }
-  tx_success = static_cast<int>(net.log().count(EventKind::TxSuccess, 0));
-}
-
-TrialOutcome classify_trial(int n_nodes, const std::vector<int>& deliveries,
-                            int tx_success, bool timeout) {
-  TrialOutcome out;
-  if (timeout) {
-    out.timeout = true;
-    return out;
-  }
-  bool any = false;
-  bool all = true;
-  for (int i = 1; i < n_nodes; ++i) {
-    const int c = deliveries[static_cast<std::size_t>(i)];
-    if (c > 0) any = true;
-    if (c == 0) all = false;
-    if (c > 1) out.dup = true;
-  }
-  const bool sender_has = tx_success > 0;
-  out.imo = (any || sender_has) && !all;
-  out.loss = !any && sender_has;
-  return out;
-}
-
-std::unique_ptr<Network> make_trial_bus(const ProbePlan& plan,
-                                        const PrefixState* prefix) {
-  auto net = std::make_unique<Network>(plan.n_nodes, plan.protocol);
-  if (prefix) {
-    for (int i = 0; i < plan.n_nodes; ++i) {
-      net->node(i).clone_runtime_state(prefix->net.node(i));
-    }
-    net->sim().warp_to(plan.t_first);
-  } else {
-    net->node(0).enqueue(plan.frame);
-  }
-  return net;
 }
 
 TrialOutcome run_biased_trial(const ProbePlan& plan, const PrefixState* prefix,
@@ -96,29 +35,23 @@ TrialOutcome run_biased_trial(const ProbePlan& plan, const PrefixState* prefix,
   if (!prefix && plan.t_first != 0) {
     throw std::logic_error("rare: plan expects a prefix template");
   }
-  std::unique_ptr<Network> net = make_trial_bus(plan, prefix);
+  Network net(plan.n_nodes, plan.protocol);
+  const bool cloned = start_episode(net, plan, prefix);
   BiasedFaults inj(plan.ber_star, plan.bias, plan.eof_start, rng);
-  if (prefix) inj.account_clean_prefix(plan.prefix_draws());
-  net->set_injector(inj);
+  if (cloned) inj.account_clean_prefix(plan.prefix_draws());
+  net.set_injector(inj);
 
-  // A prefix means a tail-only proposal (base == 0): past the cut it makes
+  // A clone means a tail-only proposal (base == 0): past the cut it makes
   // only forced-clean draws, so the tail is a function of the bus state.
-  const RunEnd end =
-      finish_run(*net, plan.t_first, plan.quiet_budget, plan.t_cut(),
-                 prefix ? memo : nullptr, [&inj] { return inj.clean_draws(); });
+  RunEnd end = finish_run(net, cloned ? plan.t_first : 0, plan.quiet_budget,
+                          cloned ? memo : nullptr, plan.t_cut(),
+                          [&inj] { return inj.clean_draws(); });
   if (end.skipped_draws > 0) inj.account_clean_prefix(end.skipped_draws);
+  if (cloned) end.add(prefix->counts);
 
-  std::vector<int> deliveries = end.deliveries;
-  int tx_success = end.tx_success;
-  if (prefix) {
-    for (std::size_t i = 0; i < deliveries.size(); ++i) {
-      deliveries[i] += prefix->deliveries[i];
-    }
-    tx_success += prefix->tx_success;
-  }
-
-  TrialOutcome out =
-      classify_trial(plan.n_nodes, deliveries, tx_success, !end.quiet);
+  TrialOutcome out;
+  static_cast<ProbeVerdict&>(out) =
+      classify_probe(end.deliveries, end.tx_success > 0, !end.quiet);
   out.llr = inj.llr();
   return out;
 }

@@ -8,8 +8,8 @@
 #include "core/network.hpp"
 #include "fault/random_faults.hpp"
 #include "fault/scripted.hpp"
-#include "frame/encoder.hpp"
 #include "frame/layout.hpp"
+#include "scenario/probe.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
 #include "util/text.hpp"
@@ -38,10 +38,9 @@ CampaignResult run_eof_campaign_range(const CampaignConfig& cfg, int first,
   res.cfg = cfg;
 
   Rng master(cfg.seed, 0x9d5c0f3a);
-  const Frame frame = make_tagged_frame(0x100, MsgKind::Data, MessageKey{0, 1});
-  const int eof_bits = cfg.protocol.eof_bits();
-  const int wire_len = wire_length(frame, eof_bits);
-  const int eof_start = wire_len - eof_bits;
+  const Frame frame = model_check_frame();
+  const int eof_start = model_check_eof_start(cfg.protocol);
+  const int wire_len = eof_start + cfg.protocol.eof_bits();
 
   // The frame starts at bit time 0 (node 0 holds the only pending frame).
   BitTime win_lo = 0;
@@ -91,34 +90,21 @@ CampaignResult run_eof_campaign_range(const CampaignConfig& cfg, int first,
     }
 
     net.node(0).enqueue(frame);
-    const bool quiesced = net.run_until_quiet(30000);
-    if (!quiesced) {
-      ++res.timeouts;
-      continue;
-    }
-
-    const int tx_success =
-        static_cast<int>(net.log().count(EventKind::TxSuccess, 0));
-    res.retransmissions +=
-        static_cast<int>(net.log().count(EventKind::TxRetransmit, 0));
-
-    bool any = false;
-    bool all = true;
-    bool dup = false;
-    for (int i = 1; i < cfg.n_nodes; ++i) {
-      const auto copies = static_cast<int>(net.deliveries(i).size());
-      if (copies > 0) any = true;
-      if (copies == 0) all = false;
-      if (copies > 1) dup = true;
-    }
-
+    const RunEnd end = finish_run(net, 0, kProbeQuietBudget);
     // The sender counts as having the message iff it reported TxSuccess and
     // did not crash; a correct sender with no deliveries anywhere is a total
     // loss (validity violation).
-    const bool sender_has = tx_success > 0 && !tx_crashed;
-    if ((any || sender_has) && !all) ++res.imo;
-    if (dup) ++res.double_rx;
-    if (!any && sender_has) ++res.total_loss;
+    const ProbeVerdict v = classify_probe(
+        end.deliveries, end.tx_success > 0 && !tx_crashed, !end.quiet);
+    if (v.timeout) {
+      ++res.timeouts;
+      continue;
+    }
+    res.retransmissions +=
+        static_cast<int>(net.log().count(EventKind::TxRetransmit, 0));
+    if (v.imo) ++res.imo;
+    if (v.dup) ++res.double_rx;
+    if (v.loss) ++res.total_loss;
     ++res.trials;
   }
   return res;
@@ -178,10 +164,7 @@ HigherCampaignResult run_higher_campaign(const HigherCampaignConfig& cfg) {
   Rng master(cfg.seed, 0x8a7e11);
   // The DATA frame is the first thing on the bus; its geometry fixes the
   // disturbance window exactly as in the link-level campaign.
-  const Frame data =
-      make_tagged_frame(0x100, MsgKind::Data, MessageKey{0, 1});
-  const int wire_len = wire_length(data, kStandardEofBits);
-  const int eof_start = wire_len - kStandardEofBits;
+  const int eof_start = model_check_eof_start(ProtocolParams::standard_can());
   const BitTime win_lo = static_cast<BitTime>(eof_start - 4);
   const BitTime win_hi = static_cast<BitTime>(eof_start + kStandardEofBits + 3);
   const auto win_size = static_cast<std::uint32_t>(win_hi - win_lo);

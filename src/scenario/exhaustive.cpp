@@ -24,34 +24,7 @@ void ExhaustiveConfig::validate() const {
         "exhaustive: error budget k must be >= 1, got " +
         std::to_string(errors));
   }
-  const int hi = window_hi();
-  if (win_lo_rel > hi) {
-    throw std::invalid_argument(
-        "exhaustive: empty flip window: win_lo_rel (" +
-        std::to_string(win_lo_rel) + ") > win_hi_rel (" + std::to_string(hi) +
-        ")");
-  }
-  // The EOF-relative grid only addresses bits of the probe frame and its
-  // end-game; beyond the delimiter + intermission everything is bus-idle
-  // and a flip would hit the retransmission instead of the episode the
-  // sweep reasons about.
-  const int end_horizon =
-      (protocol.variant == Variant::MajorCan ? protocol.sample_end()
-                                             : protocol.eof_bits() - 1) +
-      protocol.error_delim_total() + 3;
-  if (hi > end_horizon) {
-    throw std::invalid_argument(
-        "exhaustive: win_hi_rel (" + std::to_string(hi) +
-        ") is past the end-game horizon (" + std::to_string(end_horizon) +
-        ") for " + protocol.name());
-  }
-  const int eof_start = model_check_eof_start(protocol);
-  if (win_lo_rel < -eof_start) {
-    throw std::invalid_argument(
-        "exhaustive: win_lo_rel (" + std::to_string(win_lo_rel) +
-        ") starts before the probe frame (EOF-relative " +
-        std::to_string(-eof_start) + " is bit time 0)");
-  }
+  check_probe_window(protocol, win_lo_rel, window_hi());
 }
 
 std::string Counterexample::to_string() const {
@@ -64,20 +37,7 @@ std::string Counterexample::to_string() const {
   return s;
 }
 
-std::string ExhaustiveResult::summary() const {
-  std::string s = cfg.protocol.name();
-  s += " nodes=" + std::to_string(cfg.n_nodes);
-  s += " k=" + std::to_string(cfg.errors);
-  s += " cases=" + std::to_string(cases);
-  s += " | IMO=" + std::to_string(imo);
-  s += " double-rx=" + std::to_string(double_rx);
-  s += " total-loss=" + std::to_string(total_loss);
-  if (timeouts) s += " TIMEOUTS=" + std::to_string(timeouts);
-  s += violations() == 0 ? " => VERIFIED CONSISTENT" : " => COUNTEREXAMPLES";
-  return s;
-}
-
-ExhaustiveResult run_exhaustive(const ExhaustiveConfig& cfg, int max_examples) {
+ModelCheckResult run_exhaustive(const ExhaustiveConfig& cfg, int max_examples) {
   // Reference semantics: the model-checking engine with every reduction
   // disabled degenerates to the original single-threaded lexicographic
   // enumerator (tests pin this equivalence).
@@ -88,17 +48,7 @@ ExhaustiveResult run_exhaustive(const ExhaustiveConfig& cfg, int max_examples) {
   mc.symmetry = false;
   mc.max_cases = 0;
   mc.max_examples = max_examples;
-  ModelCheckResult r = run_model_check(mc);
-
-  ExhaustiveResult res;
-  res.cfg = r.cfg;
-  res.cases = r.cases;
-  res.imo = r.imo;
-  res.double_rx = r.double_rx;
-  res.total_loss = r.total_loss;
-  res.timeouts = r.timeouts;
-  res.examples = std::move(r.examples);
-  return res;
+  return run_model_check(mc);
 }
 
 }  // namespace mcan

@@ -41,10 +41,9 @@ struct ExhaustiveConfig {
   /// The effective upper bound (resolves the auto default).
   [[nodiscard]] int window_hi() const;
 
-  /// Throws std::invalid_argument on an unusable configuration: an empty
-  /// window (win_lo_rel > window_hi()), positions outside the end-game
-  /// horizon the EOF-relative grid is meaningful for, a window starting
-  /// before the probe frame itself, or degenerate node/error counts.
+  /// Throws std::invalid_argument on an unusable configuration: a window
+  /// check_probe_window() (scenario/probe.hpp) rejects, or degenerate
+  /// node/error counts.
   void validate() const;
 };
 
@@ -55,14 +54,26 @@ struct Counterexample {
   [[nodiscard]] std::string to_string() const;
 };
 
-struct ExhaustiveResult {
-  ExhaustiveConfig cfg;
-  long long cases = 0;
+struct ModelCheckStats {
+  long long enumerated = 0;      ///< combinations visited (incl. skipped)
+  long long simulated = 0;       ///< cases actually run on a bus
+  long long tail_memo_hits = 0;  ///< cases finished from a memoized tail
+  long long symmetry_skips = 0;  ///< non-canonical combos folded into orbits
+  std::size_t distinct_tails = 0;  ///< memo table size at the end
+  int jobs = 1;                    ///< worker threads actually used
+  double seconds = 0.0;            ///< wall-clock time of the sweep
+};
+
+struct ModelCheckResult {
+  ExhaustiveConfig cfg;  ///< window bound resolved
+  bool complete = true;  ///< false iff the max_cases budget cut the sweep
+  long long cases = 0;   ///< flip patterns covered (orbit weights included)
   long long imo = 0;
   long long double_rx = 0;
   long long total_loss = 0;
   long long timeouts = 0;
-  std::vector<Counterexample> examples;  ///< first few violating patterns
+  std::vector<Counterexample> examples;
+  ModelCheckStats stats;
 
   [[nodiscard]] long long violations() const {
     return imo + double_rx + total_loss + timeouts;
@@ -70,9 +81,11 @@ struct ExhaustiveResult {
   [[nodiscard]] std::string summary() const;
 };
 
-/// Run the full enumeration.  `max_examples` bounds how many concrete
-/// counterexamples are kept for reporting.
-[[nodiscard]] ExhaustiveResult run_exhaustive(const ExhaustiveConfig& cfg,
+/// Run the full enumeration with the reference semantics: the model
+/// checker (scenario/model_check.hpp) with every reduction off, one thread.
+/// `max_examples` bounds how many concrete counterexamples are kept for
+/// reporting.
+[[nodiscard]] ModelCheckResult run_exhaustive(const ExhaustiveConfig& cfg,
                                               int max_examples = 5);
 
 }  // namespace mcan

@@ -6,23 +6,11 @@
 #include <memory>
 #include <stdexcept>
 
-#include "analysis/tagged.hpp"
 #include "core/network.hpp"
 #include "fault/scripted.hpp"
-#include "frame/encoder.hpp"
-#include "scenario/tail_memo.hpp"
 #include "util/parallel.hpp"
 
 namespace mcan {
-
-Frame model_check_frame() {
-  return make_tagged_frame(0x100, MsgKind::Data, MessageKey{0, 1});
-}
-
-int model_check_eof_start(const ProtocolParams& protocol) {
-  const Frame frame = model_check_frame();
-  return wire_length(frame, protocol.eof_bits()) - protocol.eof_bits();
-}
 
 void ModelCheckConfig::validate() const {
   base.validate();
@@ -57,61 +45,9 @@ std::string ModelCheckResult::summary() const {
 
 namespace {
 
-struct CaseOutcome {
-  bool imo = false;
-  bool dup = false;
-  bool loss = false;
-  bool timeout = false;
-  std::string describe;
-
-  [[nodiscard]] bool violation() const {
-    return imo || dup || loss || timeout;
-  }
-};
-
-/// Reference classification, shared by every execution path.  `deliveries`
-/// holds the final per-node delivery counts (index 0 = transmitter,
-/// ignored); `tx_success` the transmitter's TxSuccess count.
-CaseOutcome classify(int n_nodes, const std::vector<int>& deliveries,
-                     int tx_success, bool timeout) {
-  CaseOutcome out;
-  if (timeout) {
-    out.timeout = true;
-    out.describe = "TIMEOUT";
-    return out;
-  }
-  bool any = false;
-  bool all = true;
-  std::string counts;
-  for (int i = 1; i < n_nodes; ++i) {
-    const int c = deliveries[static_cast<std::size_t>(i)];
-    counts += (counts.empty() ? "" : " ") + std::to_string(c);
-    if (c > 0) any = true;
-    if (c == 0) all = false;
-    if (c > 1) out.dup = true;
-  }
-  const bool sender_has = tx_success > 0;
-  out.imo = (any || sender_has) && !all;
-  out.loss = !any && sender_has;
-
-  if (out.imo) {
-    out.describe = "IMO: deliveries " + counts;
-  } else if (out.dup) {
-    out.describe = "double reception: deliveries " + counts;
-  } else if (out.loss) {
-    out.describe = "total loss (tx believed success)";
-  }
-  return out;
-}
-
-/// Per-sweep constants, computed once.
-struct SweepPlan {
-  ExhaustiveConfig cfg;  ///< window resolved
-  Frame frame;
-  int eof_start = 0;
+/// Per-sweep constants, computed once: the episode plus its flip slots.
+struct SweepPlan : ProbeEpisode {
   std::vector<std::pair<NodeId, int>> slots;
-  BitTime t_first = 0;  ///< absolute time of the earliest possible flip
-  BitTime t_cut = 0;    ///< first bit strictly after the flip window
   long long total_combos = 0;
 };
 
@@ -126,109 +62,38 @@ long long n_choose_k(std::size_t n, int k) {
 
 SweepPlan make_plan(const ExhaustiveConfig& cfg) {
   SweepPlan plan;
-  plan.cfg = cfg;
-  plan.cfg.win_hi_rel = cfg.window_hi();
-  plan.frame = model_check_frame();
-  plan.eof_start = model_check_eof_start(cfg.protocol);
+  static_cast<ProbeEpisode&>(plan) = ProbeEpisode::make(
+      cfg.protocol, cfg.n_nodes, cfg.win_lo_rel, cfg.window_hi());
   for (int n = 0; n < cfg.n_nodes; ++n) {
-    for (int pos = cfg.win_lo_rel; pos <= *plan.cfg.win_hi_rel; ++pos) {
+    for (int pos = plan.win_lo_rel; pos <= plan.win_hi_rel; ++pos) {
       plan.slots.emplace_back(static_cast<NodeId>(n), pos);
     }
   }
-  plan.t_first = static_cast<BitTime>(plan.eof_start + cfg.win_lo_rel);
-  plan.t_cut = static_cast<BitTime>(plan.eof_start + *plan.cfg.win_hi_rel + 1);
   plan.total_combos = n_choose_k(plan.slots.size(), cfg.errors);
   return plan;
 }
 
-constexpr BitTime kQuietBudget = 30000;
-
-/// Reference execution: fresh bus, full run from bit 0.
-CaseOutcome run_full_case(const SweepPlan& plan,
-                          const std::vector<std::pair<NodeId, int>>& flips) {
-  const ExhaustiveConfig& cfg = plan.cfg;
-  Network net(cfg.n_nodes, cfg.protocol);
+/// Run one flip pattern to quiescence.  With a prefix template, the case
+/// starts from a clone of it, simulates only the flip window and finishes
+/// from the memoized tail; without one it is the reference run from bit 0.
+/// Either way it stops where the reference run stops (docs/MODEL_CHECKING.md).
+RunEnd run_case(const ProbeEpisode& ep, const PrefixState* prefix,
+                TailMemo* memo,
+                const std::vector<std::pair<NodeId, int>>& flips) {
+  Network net(ep.n_nodes, ep.protocol);
+  const bool cloned = start_episode(net, ep, prefix);
   ScriptedFaults inj;
   for (const auto& [node, pos] : flips) {
-    inj.add(FaultTarget::at_time(
-        node, static_cast<BitTime>(plan.eof_start + pos)));
-  }
-  net.set_injector(inj);
-  net.node(0).enqueue(plan.frame);
-
-  const bool quiet = net.run_until_quiet(kQuietBudget);
-  std::vector<int> deliveries(static_cast<std::size_t>(cfg.n_nodes), 0);
-  for (int i = 0; i < cfg.n_nodes; ++i) {
-    deliveries[static_cast<std::size_t>(i)] =
-        static_cast<int>(net.deliveries(i).size());
-  }
-  const int tx_success =
-      static_cast<int>(net.log().count(EventKind::TxSuccess, 0));
-  return classify(cfg.n_nodes, deliveries, tx_success, !quiet);
-}
-
-// ---------------------------------------------------------------------------
-// dedup machinery: prefix template + the shared tail memo
-// ---------------------------------------------------------------------------
-
-/// The clean-prefix template: a bus stepped (without faults) to t_first,
-/// plus the delivery/TxSuccess counts accumulated in that prefix (nonzero
-/// when the window starts after the frame's acceptance point).
-struct PrefixTemplate {
-  Network net;
-  std::vector<int> deliveries;
-  int tx_success = 0;
-  /// The clean bus went quiet before the window opened, where the
-  /// reference run stops: cloning would simulate flips it never sees.
-  bool quiet_before_window = false;
-
-  explicit PrefixTemplate(const SweepPlan& plan)
-      : net(plan.cfg.n_nodes, plan.cfg.protocol) {
-    net.node(0).enqueue(plan.frame);
-    // The reference stop rule: one step, then quiet() before every step.
-    if (plan.t_first > 0) net.sim().step();
-    while (net.sim().now() < plan.t_first) {
-      quiet_before_window = quiet_before_window || net.quiet();
-      net.sim().step();
-    }
-    deliveries.assign(static_cast<std::size_t>(plan.cfg.n_nodes), 0);
-    for (int i = 0; i < plan.cfg.n_nodes; ++i) {
-      deliveries[static_cast<std::size_t>(i)] =
-          static_cast<int>(net.deliveries(i).size());
-    }
-    tx_success = static_cast<int>(net.log().count(EventKind::TxSuccess, 0));
-  }
-};
-
-/// Dedup execution: clone the prefix, simulate only the flip window, then
-/// finish from the memoized tail (simulating it on a miss).
-CaseOutcome run_dedup_case(const SweepPlan& plan, const PrefixTemplate& tmpl,
-                           TailMemo& memo,
-                           const std::vector<std::pair<NodeId, int>>& flips) {
-  if (tmpl.quiet_before_window) return run_full_case(plan, flips);
-  const ExhaustiveConfig& cfg = plan.cfg;
-
-  Network net(cfg.n_nodes, cfg.protocol);
-  for (int i = 0; i < cfg.n_nodes; ++i) {
-    net.node(i).clone_runtime_state(tmpl.net.node(i));
-  }
-  net.sim().warp_to(plan.t_first);
-
-  ScriptedFaults inj;
-  for (const auto& [node, pos] : flips) {
-    inj.add(FaultTarget::at_time(
-        node, static_cast<BitTime>(plan.eof_start + pos)));
+    inj.add(
+        FaultTarget::at_time(node, static_cast<BitTime>(ep.eof_start + pos)));
   }
   net.set_injector(inj);
 
-  // The reference run starts at bit 0; the clone resumes it at t_first.
-  const RunEnd end = finish_run(net, 0, kQuietBudget, plan.t_cut, &memo);
-  std::vector<int> final_counts(end.deliveries);
-  for (std::size_t i = 0; i < final_counts.size(); ++i) {
-    final_counts[i] += tmpl.deliveries[i];
-  }
-  return classify(cfg.n_nodes, final_counts, tmpl.tx_success + end.tx_success,
-                  !end.quiet);
+  // The reference run starts at bit 0; a clone resumes it at t_first.
+  RunEnd end = finish_run(net, 0, ep.quiet_budget, cloned ? memo : nullptr,
+                          ep.t_cut());
+  if (cloned) end.add(prefix->counts);
+  return end;
 }
 
 // ---------------------------------------------------------------------------
@@ -304,7 +169,7 @@ struct SharedState {
 
 /// Visit every combination whose first slot is `first`.
 SubtreeTally run_subtree(const ModelCheckConfig& mc, const SweepPlan& plan,
-                         const PrefixTemplate* tmpl, TailMemo* memo,
+                         const PrefixState* prefix, TailMemo* memo,
                          SharedState& shared, const CheckProgressFn& progress,
                          std::size_t first) {
   SubtreeTally tally;
@@ -349,14 +214,11 @@ SubtreeTally run_subtree(const ModelCheckConfig& mc, const SweepPlan& plan,
         }
       }
 
-      CaseOutcome out;
-      if (mc.dedup) {
-        out = run_dedup_case(plan, *tmpl, *memo, chosen);
-        ++tally.simulated;  // window simulated even on a memo hit
-      } else {
-        out = run_full_case(plan, chosen);
-        ++tally.simulated;
-      }
+      // The window is simulated even on a memo hit.
+      const RunEnd end = run_case(plan, prefix, memo, chosen);
+      ++tally.simulated;
+      const ProbeVerdict out =
+          classify_probe(end.deliveries, end.tx_success > 0, !end.quiet);
 
       tally.cases += weight;
       if (out.imo) tally.imo += weight;
@@ -365,7 +227,8 @@ SubtreeTally run_subtree(const ModelCheckConfig& mc, const SweepPlan& plan,
       if (out.timeout) tally.timeouts += weight;
       if (out.violation() &&
           static_cast<int>(tally.examples.size()) < mc.max_examples) {
-        tally.examples.push_back({chosen, out.describe});
+        tally.examples.push_back(
+            {chosen, describe_probe(out, end.deliveries)});
       }
       return;
     }
@@ -399,15 +262,11 @@ ModelCheckResult run_model_check(const ModelCheckConfig& cfg,
 
   const auto t0 = std::chrono::steady_clock::now();
 
-  PrefixTemplate* tmpl = nullptr;
-  TailMemo* memo = nullptr;
-  std::unique_ptr<PrefixTemplate> tmpl_owner;
-  std::unique_ptr<TailMemo> memo_owner;
+  std::unique_ptr<PrefixState> prefix;
+  std::unique_ptr<TailMemo> memo;
   if (cfg.dedup) {
-    tmpl_owner = std::make_unique<PrefixTemplate>(plan);
-    memo_owner = std::make_unique<TailMemo>();
-    tmpl = tmpl_owner.get();
-    memo = memo_owner.get();
+    prefix = std::make_unique<PrefixState>(plan);
+    memo = std::make_unique<TailMemo>();
   }
 
   // One task per first-slot subtree.  Tallies merge in subtree order, so
@@ -418,11 +277,13 @@ ModelCheckResult run_model_check(const ModelCheckConfig& cfg,
   std::vector<SubtreeTally> tallies(subtrees);
   parallel_for(subtrees, cfg.jobs, [&](std::size_t first) {
     tallies[first] =
-        run_subtree(cfg, plan, tmpl, memo, shared, progress, first);
+        run_subtree(cfg, plan, prefix.get(), memo.get(), shared, progress,
+                    first);
   });
 
   ModelCheckResult res;
-  res.cfg = plan.cfg;
+  res.cfg = cfg.base;
+  res.cfg.win_hi_rel = plan.win_hi_rel;
   res.complete = !shared.stop.load();
   for (const SubtreeTally& t : tallies) {
     res.cases += t.cases;
@@ -454,21 +315,13 @@ ModelCheckResult run_model_check(const ModelCheckConfig& cfg,
 
 FlipCaseResult run_flip_case(const ProtocolParams& protocol, int n_nodes,
                              const std::vector<std::pair<NodeId, int>>& flips) {
-  ExhaustiveConfig cfg;
-  cfg.protocol = protocol;
-  cfg.n_nodes = n_nodes;
-  cfg.errors = static_cast<int>(flips.size());
-  SweepPlan plan;
-  plan.cfg = cfg;
-  plan.frame = model_check_frame();
-  plan.eof_start = model_check_eof_start(protocol);
-  const CaseOutcome out = run_full_case(plan, flips);
-  FlipCaseResult res;
-  res.imo = out.imo;
-  res.dup = out.dup;
-  res.loss = out.loss;
-  res.timeout = out.timeout;
-  res.describe = out.describe;
+  // The window only places the clone point and the cut, which a reference
+  // run from bit 0 does not use.
+  const ProbeEpisode ep = ProbeEpisode::make(protocol, n_nodes, 0, 0);
+  const RunEnd end = run_case(ep, nullptr, nullptr, flips);
+  FlipCaseResult res{
+      classify_probe(end.deliveries, end.tx_success > 0, !end.quiet), {}};
+  res.describe = describe_probe(res, end.deliveries);
   return res;
 }
 

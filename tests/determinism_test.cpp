@@ -4,6 +4,7 @@
 // campaign numbers all rely on (seed, budget) fully determining a run.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "fuzz/engine.hpp"
@@ -68,6 +69,35 @@ TEST(Determinism, EofCampaignParallelMatchesSerial) {
   EXPECT_EQ(serial.total_loss, parallel.total_loss);
   EXPECT_EQ(serial.retransmissions, parallel.retransmissions);
   EXPECT_EQ(serial.timeouts, parallel.timeouts);
+}
+
+TEST(Determinism, EofCampaignTotalsArePinned) {
+  // Exact totals, recorded before the campaign moved onto the shared probe
+  // verdict.  Random transmitter crashes exercise its crash rule: a
+  // crashed sender does not count as having the message (counting it
+  // would turn one MinorCAN trial into an omission and a total loss).
+  const struct {
+    ProtocolParams protocol;
+    int imo, double_rx, total_loss, retransmissions, timeouts;
+  } pins[] = {{ProtocolParams::standard_can(), 13, 12, 0, 175, 0},
+              {ProtocolParams::minor_can(), 1, 1, 0, 169, 0}};
+  for (const auto& pin : pins) {
+    CampaignConfig cfg;
+    cfg.protocol = pin.protocol;
+    cfg.n_nodes = 4;
+    cfg.trials = 300;
+    cfg.errors = 2;
+    cfg.seed = 40;
+    cfg.crash_tx_randomly = true;
+    const CampaignResult r = run_eof_campaign(cfg);
+    const std::string tag = pin.protocol.name();
+    EXPECT_EQ(r.trials, 300) << tag;
+    EXPECT_EQ(r.imo, pin.imo) << tag;
+    EXPECT_EQ(r.double_rx, pin.double_rx) << tag;
+    EXPECT_EQ(r.total_loss, pin.total_loss) << tag;
+    EXPECT_EQ(r.retransmissions, pin.retransmissions) << tag;
+    EXPECT_EQ(r.timeouts, pin.timeouts) << tag;
+  }
 }
 
 // --- the fuzzer ----------------------------------------------------------

@@ -12,7 +12,7 @@ namespace {
 
 using namespace mcan;
 
-ExhaustiveResult verify(ProtocolParams proto, int errors) {
+ModelCheckResult verify(ProtocolParams proto, int errors) {
   ExhaustiveConfig cfg;
   cfg.protocol = proto;
   cfg.n_nodes = 3;

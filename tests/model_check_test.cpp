@@ -100,7 +100,7 @@ TEST(ModelCheck, ReferenceModeMatchesRunExhaustive) {
   cfg.protocol = ProtocolParams::minor_can();
   cfg.n_nodes = 3;
   cfg.errors = 2;
-  const ExhaustiveResult old = run_exhaustive(cfg);
+  const ModelCheckResult old = run_exhaustive(cfg);
   const auto eng = run_engine(ProtocolParams::minor_can(), 2, 1, true, true);
   EXPECT_EQ(old.cases, eng.cases);
   EXPECT_EQ(old.imo, eng.imo);

@@ -136,25 +136,41 @@ TEST(ProbePlan, MakeRejectsBadParameters) {
   before_frame.win_hi_rel = 0;
   EXPECT_THROW((void)ProbePlan::make(can, 32, 1e-5, before_frame),
                std::invalid_argument);
+  BiasProfile past_horizon;
+  past_horizon.win_lo_rel = 30;
+  past_horizon.win_hi_rel = 40;
+  EXPECT_THROW((void)ProbePlan::make(can, 32, 1e-5, past_horizon),
+               std::invalid_argument);
 }
 
 TEST(ClassifyTrial, ReferenceSemantics) {
   // All receivers have it: consistent.
-  EXPECT_FALSE(classify_trial(3, {1, 1, 1}, 1, false).imo);
+  EXPECT_FALSE(classify_probe({1, 1, 1}, true, false).imo);
   // One receiver lacks it: inconsistent omission.
-  EXPECT_TRUE(classify_trial(3, {1, 1, 0}, 1, false).imo);
+  EXPECT_TRUE(classify_probe({1, 1, 0}, true, false).imo);
   // Sender believes success, nobody has it: omission AND total loss.
   {
-    const TrialOutcome out = classify_trial(3, {0, 0, 0}, 1, false);
+    const ProbeVerdict out = classify_probe({0, 0, 0}, true, false);
     EXPECT_TRUE(out.imo);
     EXPECT_TRUE(out.loss);
   }
   // Nothing delivered, sender never succeeded: no event.
-  EXPECT_FALSE(classify_trial(3, {0, 0, 0}, 0, false).imo);
+  EXPECT_FALSE(classify_probe({0, 0, 0}, false, false).imo);
+  // The sender reported success but crashed, so it does not count as
+  // having the message (run_eof_campaign's rule): nobody has it, and that
+  // is neither an omission nor a loss.
+  {
+    const int tx_success = 1;
+    const bool tx_crashed = true;
+    const ProbeVerdict out =
+        classify_probe({0, 0, 0}, tx_success > 0 && !tx_crashed, false);
+    EXPECT_FALSE(out.imo);
+    EXPECT_FALSE(out.loss);
+  }
   // A receiver delivered twice: duplicate.
-  EXPECT_TRUE(classify_trial(3, {0, 2, 1}, 1, false).dup);
+  EXPECT_TRUE(classify_probe({0, 2, 1}, true, false).dup);
   // Timeout poisons everything else.
-  const TrialOutcome out = classify_trial(3, {0, 1, 0}, 1, true);
+  const ProbeVerdict out = classify_probe({0, 1, 0}, true, true);
   EXPECT_TRUE(out.timeout);
   EXPECT_FALSE(out.imo);
 }
@@ -162,21 +178,34 @@ TEST(ClassifyTrial, ReferenceSemantics) {
 // --- Trial equivalence: cloning is an optimisation, not a model change ---
 
 TEST(RareTrial, ClonedPrefixMatchesFullSimulationExactly) {
-  const ProbePlan plan =
-      ProbePlan::make(ProtocolParams::standard_can(), 8, 1e-3, {});
-  ASSERT_GT(plan.t_first, 0u);
-  const PrefixState prefix(plan);
-  ProbePlan full = plan;
-  full.t_first = 0;  // simulate the clean prefix bit by bit instead
-  for (std::uint64_t i = 0; i < 25; ++i) {
-    const TrialOutcome cloned = run_biased_trial(plan, &prefix, Rng(7, i));
-    const TrialOutcome direct = run_biased_trial(full, nullptr, Rng(7, i));
-    // Forced-clean draws consume no randomness, so the streams align and
-    // the runs must agree bit-for-bit — outcome and likelihood both.
-    EXPECT_EQ(cloned.imo, direct.imo) << "trial " << i;
-    EXPECT_EQ(cloned.dup, direct.dup) << "trial " << i;
-    EXPECT_EQ(cloned.timeout, direct.timeout) << "trial " << i;
-    EXPECT_DOUBLE_EQ(cloned.llr, direct.llr) << "trial " << i;
+  // The default window, and a late one the clean bus is already quiet by:
+  // there the from-bit-0 run never reaches the window.
+  BiasProfile late;
+  late.win_lo_rel = 10;
+  late.win_hi_rel = 17;
+  const struct {
+    int n;
+    BiasProfile bias;
+  } inputs[] = {{8, {}}, {3, late}};
+  for (const auto& in : inputs) {
+    const ProbePlan plan =
+        ProbePlan::make(ProtocolParams::standard_can(), in.n, 1e-3, in.bias);
+    ASSERT_GT(plan.t_first, 0u);
+    const PrefixState prefix(plan);
+    ProbePlan full = plan;
+    full.t_first = 0;  // simulate the clean prefix bit by bit instead
+    for (std::uint64_t i = 0; i < 25; ++i) {
+      const TrialOutcome cloned = run_biased_trial(plan, &prefix, Rng(7, i));
+      const TrialOutcome direct = run_biased_trial(full, nullptr, Rng(7, i));
+      // Forced-clean draws consume no randomness, so the streams align and
+      // the runs must agree bit-for-bit — outcome and likelihood both.
+      EXPECT_EQ(cloned.imo, direct.imo) << "n=" << in.n << " trial " << i;
+      EXPECT_EQ(cloned.dup, direct.dup) << "n=" << in.n << " trial " << i;
+      EXPECT_EQ(cloned.timeout, direct.timeout)
+          << "n=" << in.n << " trial " << i;
+      EXPECT_DOUBLE_EQ(cloned.llr, direct.llr)
+          << "n=" << in.n << " trial " << i;
+    }
   }
 }
 
