@@ -7,6 +7,7 @@
 
 #include "scenario/campaign.hpp"
 #include "scenario/figures.hpp"
+#include "util/options.hpp"
 #include "util/text.hpp"
 
 namespace {
@@ -21,7 +22,11 @@ struct Config {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int trials = argc > 1 ? std::atoi(argv[1]) : 6000;
+  int trials = 6000;
+  if (!positional_number("bench_ablation", argc, argv, 1, 1, 100000000,
+                         trials)) {
+    return 2;
+  }
   const int m = 5;
 
   std::vector<Config> configs;

@@ -12,18 +12,19 @@
 //     and the bit time at which it happens.
 //
 // The defaults keep the run CI-sized by capping the exhaustive pass per
-// budget level (--budget flag of the sweep parser, here --max-cases is
-// unused); MajorCAN_5's k = 5 level alone is ~17M patterns, so its
-// below-minimum certification is bounded unless you raise the cap.
+// budget level (--budget, default 500000 cases); MajorCAN_5's k = 5 level
+// alone is ~17M patterns, so its below-minimum certification is bounded
+// unless you raise the cap.
 //
 //     bench_attack --json BENCH_attack.json
-//     bench_attack --protocol major:5 --nodes 3 --budget 0   # full certify
+//     bench_attack --protocol major:5 --nodes 3 --budget 20000000
 #include <cstdio>
 #include <string>
 #include <vector>
 
 #include "attack/optimize.hpp"
-#include "scenario/sweep_cli.hpp"
+#include "scenario/model_check.hpp"
+#include "sim/kernel.hpp"
 #include "util/text.hpp"
 
 namespace {
@@ -48,32 +49,30 @@ int max_budget_for(const ProtocolParams& p) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  SweepOptions opt;
-  std::vector<std::string> rest;
-  std::string error;
-  if (!parse_sweep_args(argc, argv, opt, rest, error)) {
-    std::fprintf(stderr, "bench_attack: %s\n", error.c_str());
-    return 2;
+  CheckSweep sweep;
+  RunOptions run;
+  if (const int rc = parse_flags(
+          "bench_attack", argc, argv,
+          join({check_sweep_options().bind(
+                    sweep, {"--protocol", "--nodes", "--budget"}),
+                run_options().bind(run, {"--jobs", "--window", "--json"}),
+                {kernel_option()}}),
+          "usage: bench_attack [options]\n");
+      rc >= 0) {
+    return rc;
   }
-  for (const std::string& a : rest) {
-    std::fprintf(stderr, "bench_attack: unknown option %s\n%s", a.c_str(),
-                 sweep_flags_help());
-    return 2;
-  }
-  const std::vector<ProtocolParams> protocols =
-      opt.protocols.empty() ? default_protocol_set() : opt.protocols;
+  const std::vector<ProtocolParams> protocols = sweep.protocol_set();
   // Default grid N = {3, 5}; an explicit --nodes narrows to that size.
   const std::vector<int> node_counts =
-      opt.n_nodes != 3 ? std::vector<int>{opt.n_nodes}
+      sweep.nodes != 3 ? std::vector<int>{sweep.nodes}
                        : std::vector<int>{3, 5};
 
   BudgetProbeOptions po;
-  po.jobs = opt.jobs;
-  // SweepOptions::budget is the generic case cap; 0 means exhaustive.
-  // Default to a bounded pass sized for CI — full certification is a
-  // deliberate, slower invocation.
-  po.max_cases = opt.budget > 0 ? opt.budget : 500000;
-  if (opt.win_lo) po.win_lo = *opt.win_lo;
+  po.jobs = run.jobs;
+  // --budget is the sweep's case cap.  Default to a bounded pass sized
+  // for CI — full certification is a deliberate, slower invocation.
+  po.max_cases = sweep.budget > 0 ? sweep.budget : 500000;
+  if (run.window) po.win_lo = run.window->first;
 
   std::vector<std::vector<std::string>> rows;
   rows.push_back({"protocol", "N", "defeating budget", "certified below",
@@ -128,13 +127,13 @@ int main(int argc, char** argv) {
   json += "\n]}\n";
   std::printf("%s", render_table(rows).c_str());
 
-  if (!opt.json.empty()) {
-    if (!write_text_file(opt.json, json)) {
+  if (!run.json.empty()) {
+    if (!write_text_file(run.json, json)) {
       std::fprintf(stderr, "bench_attack: cannot write %s\n",
-                   opt.json.c_str());
+                   run.json.c_str());
       return 2;
     }
-    std::printf("json written to %s\n", opt.json.c_str());
+    std::printf("json written to %s\n", run.json.c_str());
   }
   return 0;
 }

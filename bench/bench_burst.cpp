@@ -16,6 +16,7 @@
 #include "core/network.hpp"
 #include "fault/burst_faults.hpp"
 #include "fault/random_faults.hpp"
+#include "util/options.hpp"
 #include "util/text.hpp"
 
 namespace {
@@ -83,7 +84,10 @@ SoakOutcome soak(const ProtocolParams& proto, FaultInjector& inj,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int frames = argc > 1 ? std::atoi(argv[1]) : 600;
+  int frames = 600;
+  if (!positional_number("bench_burst", argc, argv, 1, 1, 100000000, frames)) {
+    return 2;
+  }
 
   BurstParams burst;
   burst.p_good_to_bad = 5e-5;

@@ -15,6 +15,7 @@
 #include "fault/scripted.hpp"
 #include "higher/higher_network.hpp"
 #include "scenario/campaign.hpp"
+#include "util/options.hpp"
 #include "util/text.hpp"
 
 namespace {
@@ -38,7 +39,11 @@ AbReport run_higher_pattern(HigherKind kind, bool crash_tx) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int trials = argc > 1 ? std::atoi(argv[1]) : 20000;
+  int trials = 20000;
+  if (!positional_number("bench_campaign", argc, argv, 1, 1, 100000000,
+                         trials)) {
+    return 2;
+  }
 
   std::printf("=== Fault-injection campaign: k random view-flips in the "
               "frame tail ===\n");

@@ -14,7 +14,7 @@
 #include "core/network.hpp"
 #include "fault/random_faults.hpp"
 #include "scenario/probe.hpp"
-#include "scenario/sweep_cli.hpp"
+#include "sim/kernel.hpp"
 #include "util/text.hpp"
 
 namespace {
@@ -52,22 +52,18 @@ Measured measure(const ProtocolParams& proto, int n_nodes, double ber_star,
 }  // namespace
 
 int main(int argc, char** argv) {
-  SweepOptions sweep;
-  std::vector<std::string> rest;
-  std::string error;
-  if (!parse_sweep_args(argc, argv, sweep, rest, error)) {
-    std::fprintf(stderr, "bench_imo_rate: %s\n", error.c_str());
-    return 2;
-  }
+  RunOptions run;
   long frames = 30000;
-  for (std::size_t i = 0; i < rest.size(); ++i) {
-    if (rest[i] == "--frames" && i + 1 < rest.size()) {
-      frames = std::atol(rest[++i].c_str());
-    } else {
-      std::fprintf(stderr, "bench_imo_rate: unknown option %s\n",
-                   rest[i].c_str());
-      return 2;
-    }
+  OptionTable<long> frames_option;
+  frames_option.integer({"--frames", "", "", "N", "simulated frames per cell"},
+                        [](auto& n) -> auto& { return n; }, 1, 1000000000);
+  if (const int rc = parse_flags(
+          "bench_imo_rate", argc, argv,
+          join({frames_option.bind(frames), run_options().bind(run, {"--json"}),
+                {kernel_option()}}),
+          "usage: bench_imo_rate [options]\n");
+      rc >= 0) {
+    return rc;
   }
   const int n = 5;
 
@@ -116,13 +112,13 @@ int main(int argc, char** argv) {
   json += "\n]}\n";
   std::printf("%s\n", render_table(rows).c_str());
 
-  if (!sweep.json.empty()) {
-    if (!write_text_file(sweep.json, json)) {
+  if (!run.json.empty()) {
+    if (!write_text_file(run.json, json)) {
       std::fprintf(stderr, "bench_imo_rate: cannot write %s\n",
-                   sweep.json.c_str());
+                   run.json.c_str());
       return 2;
     }
-    std::printf("json written to %s\n", sweep.json.c_str());
+    std::printf("json written to %s\n", run.json.c_str());
   }
 
   std::printf(

@@ -16,7 +16,7 @@
 #include <cstdio>
 
 #include "scenario/model_check.hpp"
-#include "scenario/sweep_cli.hpp"
+#include "sim/kernel.hpp"
 #include "util/progress.hpp"
 #include "util/text.hpp"
 
@@ -30,17 +30,21 @@ double now_seconds() {
       .count();
 }
 
-ModelCheckConfig make_config(const SweepOptions& opt,
-                             const ProtocolParams& proto, int k) {
-  ModelCheckConfig mc;
-  mc.base.protocol = proto;
-  mc.base.n_nodes = opt.n_nodes;
-  mc.base.errors = k;
-  if (opt.win_lo) mc.base.win_lo_rel = *opt.win_lo;
-  if (opt.win_hi) mc.base.win_hi_rel = *opt.win_hi;
-  mc.jobs = opt.jobs;
-  mc.dedup = opt.dedup;
-  mc.symmetry = opt.symmetry;
+struct Options {
+  CheckSweep sweep;
+  RunOptions run;
+};
+
+/// One unit of the sweep, exhaustive (callers that want --budget set it).
+ModelCheckConfig make_config(const Options& opt, const ProtocolParams& proto,
+                             int k) {
+  ModelCheckConfig mc = opt.sweep.unit(proto, k);
+  mc.max_cases = 0;
+  if (opt.run.window) {
+    mc.base.win_lo_rel = opt.run.window->first;
+    mc.base.win_hi_rel = opt.run.window->second;
+  }
+  mc.jobs = opt.run.jobs;
   mc.max_examples = 2;
   return mc;
 }
@@ -60,17 +64,16 @@ ModelCheckResult run_with_meter(const ModelCheckConfig& mc,
 }  // namespace
 
 int main(int argc, char** argv) {
-  SweepOptions opt;
-  std::vector<std::string> rest;
-  std::string error;
-  if (!parse_sweep_args(argc, argv, opt, rest, error)) {
-    std::fprintf(stderr, "bench_model_check: %s\n", error.c_str());
-    return 2;
-  }
-  for (const std::string& a : rest) {
-    std::fprintf(stderr, "bench_model_check: unknown option %s\n%s", a.c_str(),
-                 sweep_flags_help());
-    return 2;
+  Options opt;
+  if (const int rc = parse_flags(
+          "bench_model_check", argc, argv,
+          join({check_sweep_options().bind(opt.sweep),
+                run_options().bind(opt.run,
+                                   {"--jobs", "--window", "--no-progress"}),
+                {kernel_option()}}),
+          "usage: bench_model_check [options]\n");
+      rc >= 0) {
+    return rc;
   }
 
   // --- Part 1: engine vs reference enumerator, identical sweep -----------
@@ -79,7 +82,7 @@ int main(int argc, char** argv) {
     const ProtocolParams proto = ProtocolParams::major_can(5);
     ExhaustiveConfig base;
     base.protocol = proto;
-    base.n_nodes = opt.n_nodes;
+    base.n_nodes = opt.sweep.nodes;
     base.errors = 2;
 
     const double t0 = now_seconds();
@@ -88,7 +91,7 @@ int main(int argc, char** argv) {
 
     ModelCheckConfig mc = make_config(opt, proto, 2);
     const ModelCheckResult eng =
-        run_with_meter(mc, "engine " + proto.name() + " k=2", opt.progress);
+        run_with_meter(mc, "engine " + proto.name() + " k=2", opt.run.progress);
 
     const bool agree = ref.cases == eng.cases && ref.imo == eng.imo &&
                        ref.double_rx == eng.double_rx &&
@@ -109,16 +112,16 @@ int main(int argc, char** argv) {
   }
 
   // --- Part 2: work breakdown across the protocol set --------------------
-  std::printf("\n=== Engine work breakdown (k = 1..%d) ===\n", opt.max_k);
+  std::printf("\n=== Engine work breakdown (k = 1..%d) ===\n", opt.sweep.max_k);
   std::vector<std::vector<std::string>> rows;
   rows.push_back({"protocol", "k", "cases", "violations", "simulated",
                   "memo hits", "sym folded", "tails", "secs"});
-  for (const ProtocolParams& proto : opt.protocol_set()) {
-    for (int k = 1; k <= opt.max_k; ++k) {
+  for (const ProtocolParams& proto : opt.sweep.protocol_set()) {
+    for (int k = 1; k <= opt.sweep.max_k; ++k) {
       ModelCheckConfig mc = make_config(opt, proto, k);
-      mc.max_cases = opt.budget;
+      mc.max_cases = opt.sweep.budget;
       const ModelCheckResult r = run_with_meter(
-          mc, proto.name() + " k=" + std::to_string(k), opt.progress);
+          mc, proto.name() + " k=" + std::to_string(k), opt.run.progress);
       rows.push_back({proto.name(), std::to_string(k),
                       std::to_string(r.cases) + (r.complete ? "" : "+"),
                       std::to_string(r.violations()),
@@ -135,9 +138,9 @@ int main(int argc, char** argv) {
   std::printf("=== Budget-bounded exploration: MajorCAN_5 at k = 5 ===\n");
   {
     ModelCheckConfig mc = make_config(opt, ProtocolParams::major_can(5), 5);
-    mc.max_cases = opt.budget > 0 ? opt.budget : 200000;
+    mc.max_cases = opt.sweep.budget > 0 ? opt.sweep.budget : 200000;
     const ModelCheckResult r =
-        run_with_meter(mc, "MajorCAN_5 k=5", opt.progress);
+        run_with_meter(mc, "MajorCAN_5 k=5", opt.run.progress);
     std::printf("%s\n", r.summary().c_str());
     std::printf("covered %lld flip patterns under a %lld-pattern check"
                 " budget (symmetry orbits count at full weight;"

@@ -15,7 +15,7 @@
 #include <cstdio>
 
 #include "analysis/prob_model.hpp"
-#include "scenario/sweep_cli.hpp"
+#include "util/options.hpp"
 #include "util/rng.hpp"
 #include "util/text.hpp"
 
@@ -64,22 +64,18 @@ bool draw_fig3a_pattern(Rng& rng, int n_nodes, int tau, double ber_star) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  SweepOptions sweep;
-  std::vector<std::string> rest;
-  std::string error;
-  if (!parse_sweep_args(argc, argv, sweep, rest, error)) {
-    std::fprintf(stderr, "bench_prob_model: %s\n", error.c_str());
-    return 2;
-  }
+  RunOptions run;
   long frames = 400000;
-  for (std::size_t i = 0; i < rest.size(); ++i) {
-    if (rest[i] == "--frames" && i + 1 < rest.size()) {
-      frames = std::atol(rest[++i].c_str());
-    } else {
-      std::fprintf(stderr, "bench_prob_model: unknown option %s\n",
-                   rest[i].c_str());
-      return 2;
-    }
+  OptionTable<long> frames_option;
+  frames_option.integer({"--frames", "", "", "N", "simulated frames per cell"},
+                        [](auto& n) -> auto& { return n; }, 1, 1000000000);
+  if (const int rc = parse_flags(
+          "bench_prob_model", argc, argv,
+          join({frames_option.bind(frames),
+                run_options().bind(run, {"--json"})}),
+          "usage: bench_prob_model [options]\n");
+      rc >= 0) {
+    return rc;
   }
 
   std::printf("=== Monte-Carlo check of expression (4) ===\n");
@@ -131,13 +127,13 @@ int main(int argc, char** argv) {
   json += "\n]}\n";
   std::printf("%s\n", render_table(rows).c_str());
 
-  if (!sweep.json.empty()) {
-    if (!write_text_file(sweep.json, json)) {
+  if (!run.json.empty()) {
+    if (!write_text_file(run.json, json)) {
       std::fprintf(stderr, "bench_prob_model: cannot write %s\n",
-                   sweep.json.c_str());
+                   run.json.c_str());
       return 2;
     }
-    std::printf("json written to %s\n", sweep.json.c_str());
+    std::printf("json written to %s\n", run.json.c_str());
   }
 
   std::printf(

@@ -10,8 +10,9 @@
 // per-*instance* queue-to-delivery response times.  The paired quantiles
 // are the analysis-vs-machine comparison committed as BENCH_rta.json.
 //
-//   bench_rta [sweep flags] [--rates FILE] [--ber X] [--horizon N]
+//   bench_rta [--protocol P ...] [--rates FILE] [--ber X] [--horizon N]
 //             [--seed S] [--period-scale F] [--json BENCH_rta.json]
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -21,7 +22,8 @@
 #include "analysis/rta/rates.hpp"
 #include "analysis/rta/rta.hpp"
 #include "analysis/rta/validate.hpp"
-#include "scenario/sweep_cli.hpp"
+#include "scenario/model_check.hpp"
+#include "sim/kernel.hpp"
 #include "util/text.hpp"
 
 namespace {
@@ -56,37 +58,41 @@ std::string stream_json(const ProbRtaRow& r, const SimStreamObservation& s) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  SweepOptions sweep;
-  std::vector<std::string> rest;
+  struct Options {
+    CheckSweep sweep;  ///< the protocol set
+    RunOptions run;
+    std::string rates_path;
+    double ber = 1e-5;
+    BitTime horizon = 400000;
+    std::uint64_t seed = 1;
+    double period_scale = 1.0;
+  } opt;
+  OptionTable<Options> table;
+  table
+      .text({"--rates", "", "", "FILE",
+             "measured error rates (BENCH_table1.json)"},
+            &Options::rates_path)
+      .real({"--ber", "", "", "X", "per-bit error rate"}, &Options::ber, 0, 1)
+      .integer({"--horizon", "", "", "N", "simulated bit times"},
+               &Options::horizon, 1, LLONG_MAX)
+      .integer({"--seed", "", "", "S", "fault-injection seed"},
+               &Options::seed, 0, LLONG_MAX)
+      .real({"--period-scale", "", "", "F", "multiply every period by F"},
+            &Options::period_scale, 1e-9, 1e9);
+  if (const int rc = parse_flags(
+          "bench_rta", argc, argv,
+          join({check_sweep_options().bind(opt.sweep, {"--protocol"}),
+                table.bind(opt), run_options().bind(opt.run, {"--json"}),
+                {kernel_option()}}),
+          "usage: bench_rta [options]\n");
+      rc >= 0) {
+    return rc;
+  }
+  const std::string& rates_path = opt.rates_path;
+  const double ber = opt.ber;
+  const BitTime horizon = opt.horizon;
+  const std::uint64_t seed = opt.seed;
   std::string error;
-  if (!parse_sweep_args(argc, argv, sweep, rest, error)) {
-    std::fprintf(stderr, "bench_rta: %s\n", error.c_str());
-    return 2;
-  }
-  std::string rates_path;
-  double ber = 1e-5;
-  BitTime horizon = 400000;
-  std::uint64_t seed = 1;
-  double period_scale = 1.0;
-  for (std::size_t i = 0; i < rest.size(); ++i) {
-    auto next = [&]() -> const char* {
-      if (i + 1 >= rest.size()) {
-        std::fprintf(stderr, "bench_rta: %s needs a value\n",
-                     rest[i].c_str());
-        std::exit(2);
-      }
-      return rest[++i].c_str();
-    };
-    if (rest[i] == "--rates") rates_path = next();
-    else if (rest[i] == "--ber") ber = std::atof(next());
-    else if (rest[i] == "--horizon") horizon = static_cast<BitTime>(std::atoll(next()));
-    else if (rest[i] == "--seed") seed = static_cast<std::uint64_t>(std::atoll(next()));
-    else if (rest[i] == "--period-scale") period_scale = std::atof(next());
-    else {
-      std::fprintf(stderr, "bench_rta: unknown option %s\n", rest[i].c_str());
-      return 2;
-    }
-  }
 
   MeasuredRates rates;
   rates.ber = ber;
@@ -99,7 +105,7 @@ int main(int argc, char** argv) {
     rates = table.rates_for(ber);
   }
 
-  const auto set = scale_periods(sae_benchmark_set(), period_scale);
+  const auto set = scale_periods(sae_benchmark_set(), opt.period_scale);
 
   std::printf("=== Probabilistic WCRT: analysis vs simulation ===\n");
   std::printf(
@@ -116,7 +122,7 @@ int main(int argc, char** argv) {
                      ", \"seed\": " + std::to_string(seed) +
                      ", \"protocols\": [";
   bool first_proto = true;
-  for (const ProtocolParams& proto : sweep.protocol_set()) {
+  for (const ProtocolParams& proto : opt.sweep.protocol_set()) {
     const ProbRtaResult res = probabilistic_rta(set, proto, rates);
     const SimValidation sim = simulate_response_times(
         set, proto, rates.effective_ber(), horizon, seed);
@@ -158,13 +164,13 @@ int main(int argc, char** argv) {
   }
   json += "\n]}\n";
 
-  if (!sweep.json.empty()) {
-    if (!write_text_file(sweep.json, json)) {
+  if (!opt.run.json.empty()) {
+    if (!write_text_file(opt.run.json, json)) {
       std::fprintf(stderr, "bench_rta: cannot write %s\n",
-                   sweep.json.c_str());
+                   opt.run.json.c_str());
       return 2;
     }
-    std::printf("json written to %s\n", sweep.json.c_str());
+    std::printf("json written to %s\n", opt.run.json.c_str());
   }
 
   std::printf(

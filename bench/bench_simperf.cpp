@@ -20,14 +20,14 @@
 // varies with the host; the workloads themselves are deterministic, and
 // --compare exits 1 if the two kernels disagree on delivered frames.
 #include <chrono>
+#include <climits>
 #include <cstdio>
-#include <cstdlib>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "core/network.hpp"
 #include "fault/random_faults.hpp"
-#include "scenario/sweep_cli.hpp"
 #include "sim/kernel.hpp"
 #include "util/text.hpp"
 
@@ -125,66 +125,69 @@ std::string json_row(const Measurement& m, double speedup) {
   return j + "}";
 }
 
+/// --expect-speedup workload:nodes:X — CI gate: with --compare, the fast
+/// kernel must run workload (at the given bus size) at least X times the
+/// reference throughput, else exit 1.  Repeatable.
+struct SpeedupGate {
+  std::string workload;
+  int nodes = 0;
+  double min_speedup = 0;
+  bool seen = false;
+};
+
+SpeedupGate parse_gate(const std::string& v) {
+  const std::size_t c1 = v.find(':');
+  const std::size_t c2 = c1 == std::string::npos ? c1 : v.find(':', c1 + 1);
+  SpeedupGate g;
+  long long nodes = 0;
+  if (c2 == std::string::npos || c1 == 0 ||
+      !parse_integer(v.substr(c1 + 1, c2 - c1 - 1), 1, 1024, nodes).empty() ||
+      !parse_real(v.substr(c2 + 1), 1e-9, 1e9, g.min_speedup).empty()) {
+    throw std::invalid_argument("'" + v + "' is not workload:nodes:X");
+  }
+  g.workload = v.substr(0, c1);
+  g.nodes = static_cast<int>(nodes);
+  return g;
+}
+
+struct Options {
+  long long steps = 500000;
+  bool compare = false;
+  std::vector<SpeedupGate> gates;
+  RunOptions run;
+};
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  SweepOptions sweep;
-  std::vector<std::string> rest;
-  std::string error;
-  if (!parse_sweep_args(argc, argv, sweep, rest, error)) {
-    std::fprintf(stderr, "bench_simperf: %s\n", error.c_str());
-    return 2;
+  Options opt;
+  OptionTable<Options> table;
+  table
+      .integer({"--steps", "", "", "N", "simulated bit times per workload"},
+               &Options::steps, 1, LLONG_MAX)
+      .toggle({"--compare", "", "", "",
+               "both kernels + speedup ratios, certifying\n"
+               "identical frame counts"},
+              &Options::compare, true)
+      .tokens({"--expect-speedup", "", "", "W:N:X",
+               "with --compare (implied): fast must run workload\n"
+               "W at N nodes at least X times faster (repeatable)"},
+              &Options::gates, parse_gate, [](const SpeedupGate& g) {
+                return g.workload + ":" + std::to_string(g.nodes) + ":" +
+                       std::to_string(g.min_speedup);
+              });
+  if (const int rc = parse_flags(
+          "bench_simperf", argc, argv,
+          join({table.bind(opt), {kernel_option()},
+                run_options().bind(opt.run, {"--json"})}),
+          "usage: bench_simperf [options]\n");
+      rc >= 0) {
+    return rc;
   }
-  long long steps = 500000;
-  bool compare = false;
-  // --expect-speedup workload:nodes:X — CI gate: with --compare, the fast
-  // kernel must run workload (at the given bus size) at least X times the
-  // reference throughput, else exit 1.  Repeatable.
-  struct SpeedupGate {
-    std::string workload;
-    int nodes = 0;
-    double min_speedup = 0;
-    bool seen = false;
-  };
-  std::vector<SpeedupGate> gates;
-  for (std::size_t i = 0; i < rest.size(); ++i) {
-    if (rest[i] == "--steps" && i + 1 < rest.size()) {
-      steps = std::atoll(rest[++i].c_str());
-      if (steps < 1) {
-        std::fprintf(stderr, "bench_simperf: bad --steps value\n");
-        return 2;
-      }
-    } else if (rest[i] == "--compare") {
-      compare = true;
-    } else if (rest[i] == "--expect-speedup" && i + 1 < rest.size()) {
-      const std::string v = rest[++i];
-      const std::size_t c1 = v.find(':');
-      const std::size_t c2 = c1 == std::string::npos ? c1 : v.find(':', c1 + 1);
-      SpeedupGate g;
-      if (c2 != std::string::npos) {
-        g.workload = v.substr(0, c1);
-        g.nodes = std::atoi(v.substr(c1 + 1, c2 - c1 - 1).c_str());
-        g.min_speedup = std::atof(v.substr(c2 + 1).c_str());
-      }
-      if (g.workload.empty() || g.nodes < 1 || g.min_speedup <= 0) {
-        std::fprintf(stderr,
-                     "bench_simperf: bad --expect-speedup value '%s'"
-                     " (want workload:nodes:X)\n",
-                     v.c_str());
-        return 2;
-      }
-      gates.push_back(g);
-      compare = true;  // the gate only means anything against a ref run
-    } else {
-      std::fprintf(
-          stderr,
-          "bench_simperf: unknown option %s\n"
-          "usage: bench_simperf [--steps N] [--compare] [--kernel K]"
-          " [--expect-speedup workload:nodes:X] [--json FILE]\n",
-          rest[i].c_str());
-      return 2;
-    }
-  }
+  // The gate only means anything against a reference run.
+  const bool compare = opt.compare || !opt.gates.empty();
+  const long long steps = opt.steps;
+  std::vector<SpeedupGate>& gates = opt.gates;
 
   const std::vector<Workload> workloads = {
       {"idle_can", ProtocolParams::standard_can(), 4, Load::Idle, 0},
@@ -250,7 +253,7 @@ int main(int argc, char** argv) {
               json_row(fast, speedup);
       first = false;
     } else {
-      const Measurement m = run_bus(w, steps, sweep.kernel);
+      const Measurement m = run_bus(w, steps, default_kernel());
       rows.push_back({m.name, std::to_string(m.nodes),
                       kernel_name(m.kernel), sci(bits_per_s(m), 3),
                       std::to_string(m.frames), sci(frames_per_s(m), 3)});
@@ -277,13 +280,13 @@ int main(int argc, char** argv) {
                       "every workload");
   }
 
-  if (!sweep.json.empty()) {
-    if (!write_text_file(sweep.json, json)) {
+  if (!opt.run.json.empty()) {
+    if (!write_text_file(opt.run.json, json)) {
       std::fprintf(stderr, "bench_simperf: cannot write %s\n",
-                   sweep.json.c_str());
+                   opt.run.json.c_str());
       return 2;
     }
-    std::printf("json written to %s\n", sweep.json.c_str());
+    std::printf("json written to %s\n", opt.run.json.c_str());
   }
   return mismatch ? 1 : 0;
 }

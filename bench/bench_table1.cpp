@@ -10,36 +10,34 @@
 //   bench_table1 [--trials N] [--jobs N] [--json BENCH_table1.json]
 //
 // --trials 0 skips the empirical campaigns (closed forms only).
+#include <climits>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "analysis/prob_model.hpp"
 #include "frame/encoder.hpp"
 #include "rare/campaign.hpp"
-#include "scenario/sweep_cli.hpp"
+#include "sim/kernel.hpp"
 #include "util/text.hpp"
 
 int main(int argc, char** argv) {
   using namespace mcan;
 
-  SweepOptions sweep;
-  std::vector<std::string> rest;
-  std::string error;
-  if (!parse_sweep_args(argc, argv, sweep, rest, error)) {
-    std::fprintf(stderr, "bench_table1: %s\n", error.c_str());
-    return 2;
-  }
+  RunOptions run;
   long long trials = 20000;
-  for (std::size_t i = 0; i < rest.size(); ++i) {
-    if (rest[i] == "--trials" && i + 1 < rest.size()) {
-      trials = std::atoll(rest[++i].c_str());
-    } else {
-      std::fprintf(stderr, "bench_table1: unknown option %s\n",
-                   rest[i].c_str());
-      return 2;
-    }
+  OptionTable<long long> trials_option;
+  trials_option.integer({"--trials", "", "", "N",
+                         "rare-event trials per row, 0 = closed forms only"},
+                        [](auto& n) -> auto& { return n; }, 0, LLONG_MAX);
+  if (const int rc = parse_flags(
+          "bench_table1", argc, argv,
+          join({trials_option.bind(trials),
+                run_options().bind(run, {"--jobs", "--no-progress", "--json"}),
+                {kernel_option()}}),
+          "usage: bench_table1 [options]\n");
+      rc >= 0) {
+    return rc;
   }
 
   std::printf("=== Table 1: probabilities of the inconsistency scenarios ===\n");
@@ -82,8 +80,8 @@ int main(int argc, char** argv) {
       RareConfig cfg;
       cfg.ber = row.ber;
       cfg.trials = trials;
-      cfg.jobs = sweep.jobs;
-      if (sweep.progress) {
+      cfg.jobs = run.jobs;
+      if (run.progress) {
         cfg.on_progress = [](long long done, long long total) {
           std::fprintf(stderr, "\r  %lld / %lld trials", done, total);
           if (done >= total) std::fputc('\n', stderr);
@@ -102,7 +100,7 @@ int main(int argc, char** argv) {
     std::printf("%s\n", render_table(rows).c_str());
   }
 
-  if (!sweep.json.empty()) {
+  if (!run.json.empty()) {
     std::string s = "{\n  \"rows\": [";
     for (std::size_t i = 0; i < computed.size(); ++i) {
       const Table1Row& r = computed[i];
@@ -134,12 +132,12 @@ int main(int argc, char** argv) {
       s += "}";
     }
     s += "\n  ]\n}\n";
-    if (!write_text_file(sweep.json, s)) {
+    if (!write_text_file(run.json, s)) {
       std::fprintf(stderr, "bench_table1: cannot write %s\n",
-                   sweep.json.c_str());
+                   run.json.c_str());
       return 2;
     }
-    std::printf("json written to %s\n", sweep.json.c_str());
+    std::printf("json written to %s\n", run.json.c_str());
   }
 
   std::printf(

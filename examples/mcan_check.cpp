@@ -26,7 +26,7 @@
 #include "core/fsm_coverage.hpp"
 #include "scenario/minimize.hpp"
 #include "scenario/model_check.hpp"
-#include "scenario/sweep_cli.hpp"
+#include "sim/kernel.hpp"
 #include "util/progress.hpp"
 #include "util/text.hpp"
 
@@ -35,93 +35,54 @@ namespace {
 using namespace mcan;
 
 struct Options {
-  SweepOptions sweep;
+  CheckSweep sweep;
+  RunOptions run;
   int max_examples = 5;
   bool minimize = false;
-  std::string export_dir;   ///< write minimized .scn files here
+  std::string export_dir;     ///< write minimized .scn files here
   std::string coverage_path;  ///< write the FSM coverage JSON here
   bool expect_clean = false;
   bool expect_violations = false;
 };
 
-void usage(std::FILE* to) {
-  std::fputs(
-      "usage: mcan-check [options]\n"
-      "\n"
-      "Bounded exhaustive model checking of the frame-tail window: every\n"
-      "combination of k view-flips is simulated and classified.  A clean\n"
-      "sweep is a verification result for that window; a violating one\n"
-      "comes with concrete counterexamples.\n"
-      "\n"
-      "sweep options:\n",
-      to);
-  std::fputs(sweep_flags_help(), to);
-  std::fputs(
-      "\n"
-      "tool options:\n"
-      "  --max-examples N   keep at most N counterexamples per sweep"
-      " (default 5)\n"
-      "  --minimize         delta-debug each counterexample to a minimal"
-      " flip set\n"
-      "  --export-dir DIR   write minimized counterexamples as .scn files\n"
-      "                     (implies --minimize; each is replay-verified)\n"
-      "  --coverage FILE    write the FSM transition-coverage report\n"
-      "                     (needs a -DMCAN_FSM_COVERAGE=ON build)\n"
-      "  --expect-clean     exit 1 if any sweep finds a violation\n"
-      "  --expect-violations exit 1 if no sweep finds a violation\n"
-      "  -h, --help         this text\n",
-      to);
+BoundOptions bind_options(Options& opt) {
+  static const OptionTable<Options> tool = [] {
+    OptionTable<Options> t;
+    t.integer({"--max-examples", "", "", "N",
+               "keep at most N counterexamples per sweep"},
+              &Options::max_examples, 0, 1000000)
+        .toggle({"--minimize", "", "", "",
+                 "delta-debug each counterexample to a minimal\n"
+                 "flip set"},
+                &Options::minimize, true)
+        .text({"--export-dir", "", "", "DIR",
+               "write minimized counterexamples as .scn files\n"
+               "(implies --minimize; each is replay-verified)"},
+              &Options::export_dir)
+        .text({"--coverage", "", "", "FILE",
+               "write the FSM transition-coverage report\n"
+               "(needs a -DMCAN_FSM_COVERAGE=ON build)"},
+              &Options::coverage_path)
+        .toggle({"--expect-clean", "", "", "",
+                 "exit 1 if any sweep finds a violation"},
+                &Options::expect_clean, true)
+        .toggle({"--expect-violations", "", "", "",
+                 "exit 1 if no sweep finds a violation"},
+                &Options::expect_violations, true);
+    return t;
+  }();
+  return join({check_sweep_options().bind(opt.sweep),
+               run_options().bind(opt.run), {kernel_option()},
+               tool.bind(opt)});
 }
 
-bool parse_args(int argc, char** argv, Options& opt) {
-  std::vector<std::string> rest;
-  std::string error;
-  if (!parse_sweep_args(argc, argv, opt.sweep, rest, error)) {
-    std::fprintf(stderr, "mcan-check: %s\n", error.c_str());
-    return false;
-  }
-  for (std::size_t i = 0; i < rest.size(); ++i) {
-    const std::string& a = rest[i];
-    auto need_value = [&](const char* flag, std::string& out) -> bool {
-      if (i + 1 >= rest.size()) {
-        std::fprintf(stderr, "mcan-check: %s needs a value\n", flag);
-        return false;
-      }
-      out = rest[++i];
-      return true;
-    };
-    if (a == "-h" || a == "--help") {
-      usage(stdout);
-      // exit in the --help path: before any thread exists.
-      std::exit(0);  // NOLINT(concurrency-mt-unsafe)
-    } else if (a == "--max-examples") {
-      std::string v;
-      if (!need_value("--max-examples", v)) return false;
-      opt.max_examples = std::atoi(v.c_str());
-    } else if (a == "--minimize") {
-      opt.minimize = true;
-    } else if (a == "--export-dir") {
-      if (!need_value("--export-dir", opt.export_dir)) return false;
-      opt.minimize = true;
-    } else if (a == "--coverage") {
-      if (!need_value("--coverage", opt.coverage_path)) return false;
-    } else if (a == "--expect-clean") {
-      opt.expect_clean = true;
-    } else if (a == "--expect-violations") {
-      opt.expect_violations = true;
-    } else {
-      std::fprintf(stderr, "mcan-check: unknown option %s\n", a.c_str());
-      return false;
-    }
-  }
-  if (opt.expect_clean && opt.expect_violations) {
-    std::fprintf(stderr,
-                 "mcan-check: --expect-clean and --expect-violations are"
-                 " mutually exclusive\n");
-    return false;
-  }
-  return true;
-}
+constexpr const char* kUsage =
+    "usage: mcan-check [options]\n"
+    "\n"
+    "Bounded exhaustive model checking of the frame-tail window: every\n"
+    "combination of k view-flips is simulated and classified.  A clean\n"
+    "sweep is a verification result for that window; a violating one\n"
+    "comes with concrete counterexamples.\n";
 
 std::string file_slug(const std::string& name) {
   std::string out;
@@ -205,10 +166,18 @@ std::string sweep_to_json(const SweepRecord& rec) {
 
 int main(int argc, char** argv) {
   Options opt;
-  if (!parse_args(argc, argv, opt)) {
-    usage(stderr);
+  if (const int rc =
+          parse_flags("mcan-check", argc, argv, bind_options(opt), kUsage);
+      rc >= 0) {
+    return rc;
+  }
+  if (opt.expect_clean && opt.expect_violations) {
+    std::fprintf(stderr,
+                 "mcan-check: --expect-clean and --expect-violations are"
+                 " mutually exclusive\n");
     return 2;
   }
+  if (!opt.export_dir.empty()) opt.minimize = true;
 
   fsm_coverage::reset();  // scope any coverage report to this run
 
@@ -219,21 +188,17 @@ int main(int argc, char** argv) {
 
   for (const ProtocolParams& proto : protos) {
     for (int k = 1; k <= opt.sweep.max_k; ++k) {
-      ModelCheckConfig mc;
-      mc.base.protocol = proto;
-      mc.base.n_nodes = opt.sweep.n_nodes;
-      mc.base.errors = k;
-      if (opt.sweep.win_lo) mc.base.win_lo_rel = *opt.sweep.win_lo;
-      if (opt.sweep.win_hi) mc.base.win_hi_rel = *opt.sweep.win_hi;
-      mc.jobs = opt.sweep.jobs;
-      mc.dedup = opt.sweep.dedup;
-      mc.symmetry = opt.sweep.symmetry;
-      mc.max_cases = opt.sweep.budget;
+      ModelCheckConfig mc = opt.sweep.unit(proto, k);
+      if (opt.run.window) {
+        mc.base.win_lo_rel = opt.run.window->first;
+        mc.base.win_hi_rel = opt.run.window->second;
+      }
+      mc.jobs = opt.run.jobs;
       mc.max_examples = opt.max_examples;
 
       SweepRecord rec;
       try {
-        if (opt.sweep.progress) {
+        if (opt.run.progress) {
           ProgressMeter meter(proto.name() + " k=" + std::to_string(k));
           rec.result = run_model_check(
               mc, [&meter](long long done, long long total) {
@@ -257,7 +222,7 @@ int main(int argc, char** argv) {
         std::printf("  example: %s\n", r.examples[i].to_string().c_str());
         if (!opt.minimize) continue;
         MinimizedCounterexample ce = minimize_counterexample(
-            proto, opt.sweep.n_nodes, r.examples[i].flips);
+            proto, opt.sweep.nodes, r.examples[i].flips);
         std::printf("  minimized (%d runs): %s ->", ce.runs,
                     violation_class_name(ce.cls));
         for (const auto& [node, pos] : ce.flips) {
@@ -270,7 +235,7 @@ int main(int argc, char** argv) {
               "modelcheck_" + file_slug(proto.name()) + "_k" +
               std::to_string(k) + "_" + std::to_string(i);
           const std::string text =
-              to_scenario_text(proto, opt.sweep.n_nodes, ce, title);
+              to_scenario_text(proto, opt.sweep.nodes, ce, title);
           scn_path = opt.export_dir + "/" + title + ".scn";
           if (write_file(scn_path, text)) {
             const ReplayResult rr = replay_scenario_text(text);
@@ -296,15 +261,15 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (!opt.sweep.json.empty()) {
+  if (!opt.run.json.empty()) {
     std::string s = "{\"sweeps\":[";
     for (std::size_t i = 0; i < records.size(); ++i) {
       if (i) s += ",";
       s += sweep_to_json(records[i]);
     }
     s += "]}\n";
-    if (!write_file(opt.sweep.json, s)) return 2;
-    std::printf("report written to %s\n", opt.sweep.json.c_str());
+    if (!write_file(opt.run.json, s)) return 2;
+    std::printf("report written to %s\n", opt.run.json.c_str());
   }
 
   if (!opt.coverage_path.empty()) {

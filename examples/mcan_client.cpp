@@ -10,7 +10,10 @@
 //     mcan-client cancel 1
 //     mcan-client shutdown
 //
-// Results are the daemon's deterministic job-result bytes (fuzz: the
+// Each job kind's spec flags are its engine's keyed options (the ones
+// mcan-fuzz, mcan-rsm, mcan-attack, mcan-rare and mcan-check spell the
+// same way), so a spec only carries keys the daemon accepts.  Results are
+// the daemon's deterministic job-result bytes (fuzz/rsm/attack: the
 // --stats-json line; rare: the estimate JSON; check: the sweep summary) —
 // byte-identical to a local single-process run of the same spec, which is
 // what the --expect-* gates (same semantics as mcan-fuzz / mcan-rare)
@@ -22,8 +25,10 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <climits>
 #include <cstdio>
 #include <cstring>
 #include <optional>
@@ -32,53 +37,13 @@
 #include <vector>
 
 #include "fuzz/oracle.hpp"
+#include "rare/campaign.hpp"
+#include "serve/backend.hpp"
 #include "serve/proto.hpp"
 
 namespace {
 
 using namespace mcan;
-
-void usage(std::FILE* to) {
-  std::fputs(
-      "usage: mcan-client [--socket PATH] <command> [options]\n"
-      "\n"
-      "commands:\n"
-      "  submit <fuzz|rsm|rare|check> [spec options] [--priority N] "
-      "[--wait]\n"
-      "  status <id>      job progress as JSON\n"
-      "  result <id>      finished job's result bytes\n"
-      "  cancel <id>\n"
-      "  stats            queue depth, shard counters, per-job throughput\n"
-      "  ping\n"
-      "  shutdown         graceful daemon stop\n"
-      "\n"
-      "spec options (defaults = the engines' defaults):\n"
-      "  fuzz:  --protocol TOK --nodes N --seed N --max-execs N --batch N\n"
-      "         --minimize-every N --max-flips N --envelope "
-      "--mutate-protocol\n"
-      "  rsm:   fuzz options plus the consensus workload: --commands N\n"
-      "         --payload N --rsm-k N --spacing BITS --link "
-      "direct|edcan|relcan|totcan\n"
-      "         --crash-node N --crash-t BITS --recover-t BITS\n"
-      "  rare:  --protocol TOK --nodes N --ber X --mode "
-      "naive|importance|splitting\n"
-      "         --seed N --trials N --batch N\n"
-      "  check: --protocol TOK (repeatable) --errors N --nodes N "
-      "--budget N\n"
-      "         --no-dedup --no-symmetry\n"
-      "\n"
-      "submit options:\n"
-      "  --priority N         higher claims workers first (default 0)\n"
-      "  --wait               poll until the job finishes, print its "
-      "result\n"
-      "  --poll-ms N          --wait poll interval (default 200)\n"
-      "  --expect-classes L   fuzz gate, as in mcan-fuzz\n"
-      "  --expect-within X    rare gate, as in mcan-rare\n"
-      "  --expect-rel-ci X    rare gate, as in mcan-rare\n"
-      "\n"
-      "  --socket PATH        daemon socket (default mcan-serve.sock)\n",
-      to);
-}
 
 // --- tiny client transport -------------------------------------------------
 
@@ -147,185 +112,136 @@ std::string response_error(const Json& res) {
 
 struct Options {
   std::string socket = "mcan-serve.sock";
-  std::string command;
-  std::string backend;
-  long long id = 0;
   int priority = 0;
   bool wait = false;
   long long poll_ms = 200;
   std::optional<std::uint32_t> expect_classes;
-  double expect_within = 0;
-  double expect_rel_ci = 0;
+  RareGate rare_gate;
+  std::string command;
+  std::string backend;
+  long long id = 0;
   Json spec = Json::object();
 };
 
-bool parse_ll(const std::string& s, long long& out) {
-  try {
-    std::size_t pos = 0;
-    out = std::stoll(s, &pos);
-    return pos == s.size();
-  } catch (...) {
-    return false;
+const OptionTable<Options>& client_options() {
+  static const OptionTable<Options> table = [] {
+    OptionTable<Options> t;
+    t.text({"--socket", "", "", "PATH", "daemon socket"}, &Options::socket)
+        .integer({"--priority", "", "", "N", "higher claims workers first"},
+                 &Options::priority, -1000000, 1000000)
+        .toggle({"--wait", "", "", "",
+                 "poll until the job finishes, print its result"},
+                &Options::wait, true)
+        .integer({"--poll-ms", "", "", "N", "--wait poll interval"},
+                 &Options::poll_ms, 1, 3600000);
+    return t;
+  }();
+  return table;
+}
+
+/// The engine CLIs' gates, for the job kind whose results they judge.
+BoundOptions gate_options(Options& opt, const std::string& kind) {
+  if (kind == "rare") return rare_gate_options().bind(opt.rare_gate);
+  if (kind == "check") return {};
+  return {expect_classes_option(opt.expect_classes)};
+}
+
+void usage(std::FILE* to) {
+  std::fputs(
+      "usage: mcan-client [--socket PATH] <command> [options]\n"
+      "\n"
+      "commands:\n"
+      "  submit <kind> [spec options] [submit options]\n"
+      "                   queue a campaign; <kind> is one of",
+      to);
+  for (const std::string& kind : backend_kinds()) {
+    std::fprintf(to, " %s", kind.c_str());
+  }
+  std::fputs(
+      "\n"
+      "  status <id>      job progress as JSON\n"
+      "  result <id>      finished job's result bytes\n"
+      "  cancel <id>\n"
+      "  stats            queue depth, shard counters, per-job throughput\n"
+      "  ping\n"
+      "  shutdown         graceful daemon stop\n"
+      "\n"
+      "options:\n",
+      to);
+  Options defaults;
+  std::fputs(options_help(client_options().bind(defaults)).c_str(), to);
+  std::fputs("  -h, --help            this text\n", to);
+  for (const std::string& kind : backend_kinds()) {
+    std::fprintf(to, "\nsubmit %s (the spec keys of docs/SERVING.md):\n",
+                 kind.c_str());
+    Json spec = Json::object();
+    std::fputs(options_help(join({spec_options(kind, spec),
+                                  gate_options(defaults, kind)}))
+                   .c_str(),
+               to);
   }
 }
 
-bool parse_double(const std::string& s, double& out) {
-  try {
-    std::size_t pos = 0;
-    out = std::stod(s, &pos);
-    return pos == s.size();
-  } catch (...) {
+bool parse_args(const std::vector<std::string>& args, Options& opt) {
+  // The command comes first (after --socket), then a submit's kind: the
+  // kind decides which spec flags exist.
+  std::size_t first = 0;
+  while (first < args.size() && args[first] == "--socket") first += 2;
+  if (first < args.size()) opt.command = args[first];
+  if (opt.command == "submit") {
+    const std::vector<std::string>& kinds = backend_kinds();
+    if (first + 1 >= args.size() ||
+        std::find(kinds.begin(), kinds.end(), args[first + 1]) ==
+            kinds.end()) {
+      std::fprintf(stderr,
+                   "mcan-client: submit needs a backend: "
+                   "fuzz|rsm|attack|rare|check\n");
+      return false;
+    }
+    opt.backend = args[first + 1];
+    // "backend" leads the spec so journals and fingerprints read well.
+    opt.spec.set("backend", Json(opt.backend));
+  }
+  // Only submit reads more than the socket: its kind's spec flags and the
+  // gates that judge its result.
+  const BoundOptions opts =
+      opt.command == "submit"
+          ? join({client_options().bind(opt),
+                  spec_options(opt.backend, opt.spec),
+                  gate_options(opt, opt.backend)})
+          : client_options().bind(opt, {"--socket"});
+  std::vector<std::string> positional;
+  const std::string error = parse_command_line(args, opts, positional);
+  if (!error.empty()) {
+    std::fprintf(stderr, "mcan-client: %s\n", error.c_str());
     return false;
   }
-}
-
-bool parse_args(int argc, char** argv, Options& opt) {
-  std::vector<std::string> protocols;  // check: repeatable --protocol
-  int i = 1;
-  auto need = [&](std::string& out) {
-    if (i + 1 >= argc) {
-      std::fprintf(stderr, "mcan-client: %s needs a value\n", argv[i]);
-      return false;
-    }
-    out = argv[++i];
-    return true;
-  };
-  auto need_int = [&](const char* key, long long& out) {
-    std::string v;
-    if (!need(v) || !parse_ll(v, out)) {
-      std::fprintf(stderr, "mcan-client: bad %s value\n", key);
-      return false;
-    }
-    return true;
-  };
-  for (; i < argc; ++i) {
-    const std::string a = argv[i];
-    std::string v;
-    long long n = 0;
-    double d = 0;
-    if (a == "-h" || a == "--help") {
-      usage(stdout);
-      // exit in the --help path: before any thread exists.
-      std::exit(0);  // NOLINT(concurrency-mt-unsafe)
-    } else if (a == "--socket") {
-      if (!need(opt.socket)) return false;
-    } else if (a == "--priority") {
-      if (!need_int("--priority", n)) return false;
-      opt.priority = static_cast<int>(n);
-    } else if (a == "--wait") {
-      opt.wait = true;
-    } else if (a == "--poll-ms") {
-      if (!need_int("--poll-ms", opt.poll_ms) || opt.poll_ms < 1) {
-        return false;
-      }
-    } else if (a == "--expect-classes") {
-      if (!need(v)) return false;
-      std::uint32_t mask = 0;
-      std::string error;
-      if (!parse_fuzz_classes(v, mask, error)) {
-        std::fprintf(stderr, "mcan-client: %s\n", error.c_str());
-        return false;
-      }
-      opt.expect_classes = mask;
-    } else if (a == "--expect-within") {
-      if (!need(v) || !parse_double(v, opt.expect_within)) return false;
-    } else if (a == "--expect-rel-ci") {
-      if (!need(v) || !parse_double(v, opt.expect_rel_ci)) return false;
-    } else if (a == "--protocol") {
-      if (!need(v)) return false;
-      protocols.push_back(v);
-    } else if (a == "--nodes" || a == "--seed" || a == "--max-execs" ||
-               a == "--batch" || a == "--minimize-every" ||
-               a == "--max-flips" || a == "--trials" || a == "--errors" ||
-               a == "--budget" || a == "--max-k" || a == "--commands" ||
-               a == "--payload" || a == "--rsm-k" || a == "--spacing" ||
-               a == "--crash-node" || a == "--crash-t" ||
-               a == "--recover-t") {
-      if (!need_int(a.c_str(), n)) return false;
-      std::string key = a.substr(2);
-      for (char& c : key) {
-        if (c == '-') c = '_';
-      }
-      if (key == "errors") key = "max_k";
-      // rsm workload flags map onto the .scn directive's key names.
-      if (key == "rsm_k") key = "k";
-      if (key == "crash_node") key = "crash";
-      if (key == "crash_t") key = "crasht";
-      if (key == "recover_t") key = "recovert";
-      opt.spec.set(key, Json(n));
-    } else if (a == "--ber") {
-      if (!need(v) || !parse_double(v, d)) return false;
-      opt.spec.set("ber", Json(d));
-    } else if (a == "--mode") {
-      if (!need(v)) return false;
-      opt.spec.set("mode", Json(v));
-    } else if (a == "--link") {
-      if (!need(v)) return false;
-      opt.spec.set("link", Json(v));
-    } else if (a == "--envelope") {
-      opt.spec.set("envelope", Json(true));
-    } else if (a == "--mutate-protocol") {
-      opt.spec.set("mutate_protocol", Json(true));
-    } else if (a == "--no-dedup") {
-      opt.spec.set("dedup", Json(false));
-    } else if (a == "--no-symmetry") {
-      opt.spec.set("symmetry", Json(false));
-    } else if (!a.empty() && a[0] == '-') {
-      std::fprintf(stderr, "mcan-client: unknown option %s\n", a.c_str());
-      return false;
-    } else if (opt.command.empty()) {
-      opt.command = a;
-    } else if (opt.command == "submit" && opt.backend.empty()) {
-      opt.backend = a;
-    } else if (opt.id == 0 && parse_ll(a, opt.id) && opt.id > 0) {
-      // status/result/cancel <id>
-    } else {
-      std::fprintf(stderr, "mcan-client: unexpected argument %s\n",
-                   a.c_str());
-      return false;
-    }
-  }
-  if (opt.command.empty()) {
+  if (positional.empty()) {
     std::fprintf(stderr, "mcan-client: no command (see --help)\n");
     return false;
   }
   if (opt.command == "submit") {
-    if (opt.backend != "fuzz" && opt.backend != "rsm" &&
-        opt.backend != "rare" && opt.backend != "check") {
-      std::fprintf(
-          stderr,
-          "mcan-client: submit needs a backend: fuzz|rsm|rare|check\n");
+    if (positional.size() != 2) {
+      std::fprintf(stderr, "mcan-client: unexpected argument %s\n",
+                   positional.back().c_str());
       return false;
     }
-    // "backend" leads the spec so journals and fingerprints read well.
-    Json spec = Json::object();
-    spec.set("backend", Json(opt.backend));
-    if (!protocols.empty()) {
-      if (opt.backend == "check") {
-        Json list = Json::array();
-        for (const std::string& p : protocols) list.push(Json(p));
-        spec.set("protocols", std::move(list));
-      } else {
-        if (protocols.size() > 1) {
-          std::fprintf(stderr,
-                       "mcan-client: %s jobs take one --protocol\n",
-                       opt.backend.c_str());
-          return false;
-        }
-        spec.set("protocol", Json(protocols.front()));
-      }
-    }
-    for (const auto& [k, vjson] : opt.spec.members()) spec.set(k, vjson);
-    opt.spec = std::move(spec);
   } else if (opt.command == "status" || opt.command == "result" ||
              opt.command == "cancel") {
-    if (opt.id <= 0) {
+    if (positional.size() != 2 ||
+        !parse_integer(positional[1], 1, LLONG_MAX, opt.id).empty()) {
       std::fprintf(stderr, "mcan-client: %s needs a job id\n",
                    opt.command.c_str());
       return false;
     }
-  } else if (opt.command != "stats" && opt.command != "ping" &&
-             opt.command != "shutdown") {
+  } else if (opt.command == "stats" || opt.command == "ping" ||
+             opt.command == "shutdown") {
+    if (positional.size() != 1) {
+      std::fprintf(stderr, "mcan-client: unexpected argument %s\n",
+                   positional[1].c_str());
+      return false;
+    }
+  } else {
     // Reject before connecting, so a typo is a usage error (2) even
     // when no daemon is up, not a connection failure (1).
     std::fprintf(stderr, "mcan-client: unknown command %s\n",
@@ -335,73 +251,11 @@ bool parse_args(int argc, char** argv, Options& opt) {
   return true;
 }
 
-// --- gates (same semantics as the mcan-fuzz / mcan-rare CLIs) --------------
-
-int check_fuzz_gate(const Options& opt, const Json& result) {
-  if (!opt.expect_classes) return 0;
-  const Json* classes = result.find("classes");
-  std::uint32_t found = 0;
-  std::string error;
-  if (!classes || !classes->is_string()) {
-    std::fprintf(stderr, "mcan-client: result has no classes field\n");
-    return 1;
-  }
-  // The result renders the mask as "a+b"; the parser takes a comma list.
-  std::string list = classes->as_string();
-  for (char& c : list) {
-    if (c == '+') c = ',';
-  }
-  if (!parse_fuzz_classes(list, found, error)) {
-    std::fprintf(stderr, "mcan-client: bad classes in result: %s\n",
-                 error.c_str());
-    return 1;
-  }
-  return check_class_gate("mcan-client", *opt.expect_classes, found);
-}
-
-int check_rare_gates(const Options& opt, const Json& result) {
-  int rc = 0;
-  const Json* imo = result.find("imo");
-  if (!imo || !imo->is_object()) {
-    if (opt.expect_within > 0 || opt.expect_rel_ci > 0) {
-      std::fprintf(stderr, "mcan-client: result has no imo estimate\n");
-      return 1;
-    }
-    return 0;
-  }
-  const double ci_lo = imo->find("ci_lo") ? imo->find("ci_lo")->as_double() : 0;
-  const double ci_hi = imo->find("ci_hi") ? imo->find("ci_hi")->as_double() : 0;
-  const double relhw =
-      imo->find("rel_halfwidth") ? imo->find("rel_halfwidth")->as_double() : 0;
-  const long long hits = imo->find("hits") ? imo->find("hits")->as_int() : 0;
-  if (opt.expect_rel_ci > 0 && (hits == 0 || relhw > opt.expect_rel_ci)) {
-    std::fprintf(stderr,
-                 "mcan-client: FAIL relative CI half-width %.2f > %.2f "
-                 "(hits=%lld)\n",
-                 relhw, opt.expect_rel_ci, hits);
-    rc = 1;
-  }
-  if (opt.expect_within > 0) {
-    const Json* p4j = result.find("closed_form_p4");
-    const double p4 = p4j ? p4j->as_double() : 0;
-    const bool ok = p4 > 0 && ci_hi >= p4 / opt.expect_within &&
-                    ci_lo <= p4 * opt.expect_within;
-    if (!ok) {
-      std::fprintf(stderr,
-                   "mcan-client: FAIL estimate [%.3e, %.3e] not within "
-                   "%.1fx of expression (4) = %.3e\n",
-                   ci_lo, ci_hi, opt.expect_within, p4);
-      rc = 1;
-    }
-  }
-  return rc;
-}
+// --- gates (the mcan-fuzz / mcan-rare gates, on served results) ------------
 
 int apply_gates(const Options& opt, const std::string& result_bytes) {
-  if (!opt.expect_classes && opt.expect_within <= 0 &&
-      opt.expect_rel_ci <= 0) {
-    return 0;
-  }
+  const bool rare_gated = opt.rare_gate.within > 0 || opt.rare_gate.rel_ci > 0;
+  if (!opt.expect_classes && !rare_gated) return 0;
   Json result;
   std::string error;
   if (!Json::parse(result_bytes, result, error)) {
@@ -409,11 +263,30 @@ int apply_gates(const Options& opt, const std::string& result_bytes) {
                  error.c_str());
     return 1;
   }
-  if (opt.backend == "fuzz" || opt.backend == "rsm") {
-    return check_fuzz_gate(opt, result);
+  if (rare_gated) {
+    RareEstimate imo;
+    double p4 = 0;
+    if (!rare_gate_inputs(result, imo, p4)) {
+      std::fprintf(stderr, "mcan-client: result has no imo estimate\n");
+      return 1;
+    }
+    return check_rare_gate("mcan-client", opt.rare_gate, imo, p4);
   }
-  if (opt.backend == "rare") return check_rare_gates(opt, result);
-  return 0;
+  const Json* classes = result.find("classes");
+  if (!classes || !classes->is_string()) {
+    std::fprintf(stderr, "mcan-client: result has no classes field\n");
+    return 1;
+  }
+  // The result renders the mask as "a+b"; the parser takes a comma list.
+  std::string list = classes->as_string();
+  std::replace(list.begin(), list.end(), '+', ',');
+  std::uint32_t found = 0;
+  if (!parse_fuzz_classes(list, found, error)) {
+    std::fprintf(stderr, "mcan-client: bad classes in result: %s\n",
+                 error.c_str());
+    return 1;
+  }
+  return check_class_gate("mcan-client", *opt.expect_classes, found);
 }
 
 // --- commands --------------------------------------------------------------
@@ -474,8 +347,15 @@ int wait_for_job(Connection& conn, const Options& opt, long long id) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  const std::vector<std::string> args = args_of(argc, argv);
+  for (const std::string& a : args) {
+    if (a == "-h" || a == "--help") {
+      usage(stdout);
+      return 0;
+    }
+  }
   Options opt;
-  if (!parse_args(argc, argv, opt)) return 2;
+  if (!parse_args(args, opt)) return 2;
 
   Connection conn;
   std::string error;

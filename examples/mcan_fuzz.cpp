@@ -31,7 +31,7 @@
 #include "fuzz/corpus.hpp"
 #include "fuzz/engine.hpp"
 #include "fuzz/triage.hpp"
-#include "scenario/sweep_cli.hpp"
+#include "sim/kernel.hpp"
 
 namespace {
 
@@ -50,204 +50,55 @@ static_assert(std::atomic<bool>::is_always_lock_free,
 void on_signal(int) { g_interrupted.store(true); }
 
 struct Options {
-  SweepOptions sweep;
-  std::string command;
-  std::vector<std::string> inputs;  ///< positional files/dirs
-  std::uint64_t seed = 1;
-  std::uint64_t max_execs = 5000;
-  double max_time_s = 0;
-  int batch = 64;
-  int max_flips = 0;      ///< 0 = FuzzBounds default
-  bool envelope = false;  ///< cap disturbances at the protocol's tolerance
-  bool mutate_protocol = false;
+  Options() { job.cfg.max_execs = 5000; }
+
+  FuzzJob job;
+  RunOptions run;
   std::string corpus_dir;
   std::string findings_dir = "fuzz-findings";
   std::string stats_json;
   std::optional<std::uint32_t> expect_classes;
+  std::string command;
+  std::vector<std::string> inputs;  ///< positional files/dirs
 };
 
-void usage(std::FILE* to) {
-  std::fputs(
-      "usage: mcan-fuzz <run|triage|replay|merge|stats> [options] [files]\n"
-      "\n"
-      "Coverage-guided fuzzing of the scenario space: mutate flip patterns,\n"
-      "fault timing, traffic mixes, crashes and bus sizes; keep inputs that\n"
-      "reach new FSM transitions or property outcomes; minimize and export\n"
-      "violations as replayable .scn files.\n"
-      "\n"
-      "commands:\n"
-      "  run      fuzz a protocol (deterministic in --seed/--max-execs)\n"
-      "  triage   minimize + dedupe + export .scn findings given as files\n"
-      "  replay   run .scn files through the oracle and report classes\n"
-      "  merge    fold corpus directories into --corpus, keeping novelty\n"
-      "  stats    describe a corpus directory\n"
-      "\n"
-      "sweep options (protocol/nodes/jobs apply):\n",
-      to);
-  std::fputs(sweep_flags_help(), to);
-  std::fputs(
-      "\n"
-      "tool options:\n"
-      "  --seed N            campaign seed (default 1)\n"
-      "  --max-execs N       execution budget (default 5000)\n"
-      "  --max-time S        wall-clock budget in seconds (0 = none)\n"
-      "  --batch N           executions per round (default 64)\n"
-      "  --max-flips N       cap flips per input (default 8)\n"
-      "  --envelope          cap disturbances at the protocol tolerance\n"
-      "                      (m for MajorCAN_m) — the paper's <= m claim\n"
-      "  --mutate-protocol   let mutations drift the protocol variant/m\n"
-      "  --corpus DIR        seed from + save the corpus here\n"
-      "  --findings DIR      write minimized reproducers here\n"
-      "                      (default fuzz-findings)\n"
-      "  --expect-classes L  comma list of violation classes that must all\n"
-      "                      be found (none = require a clean campaign);\n"
-      "                      exit 1 otherwise\n"
-      "  --stats-json FILE   write campaign stats as JSON\n"
-      "  -h, --help          this text\n",
-      to);
+BoundOptions bind_options(Options& opt) {
+  static const OptionTable<Options> tool = [] {
+    OptionTable<Options> t;
+    t.text({"--corpus", "", "", "DIR", "seed from + save the corpus here"},
+           &Options::corpus_dir)
+        .text({"--findings", "", "", "DIR",
+               "write minimized reproducers here"},
+              &Options::findings_dir)
+        .text({"--stats-json", "", "", "FILE",
+               "write campaign stats as JSON"},
+              &Options::stats_json);
+    return t;
+  }();
+  return join({fuzz_options(FuzzKind::Fuzz)
+                   .bind(opt.job, {"--protocol", "--nodes", "--seed",
+                                   "--max-execs", "--max-time", "--batch",
+                                   "--max-flips", "--envelope",
+                                   "--mutate-protocol"}),
+               run_options().bind(opt.run, {"--jobs", "--no-progress"}),
+               {kernel_option()}, tool.bind(opt),
+               {expect_classes_option(opt.expect_classes)}});
 }
 
-bool parse_u64(const std::string& s, std::uint64_t& out) {
-  if (s.empty()) return false;
-  for (char c : s) {
-    if (!std::isdigit(static_cast<unsigned char>(c))) return false;
-  }
-  out = std::strtoull(s.c_str(), nullptr, 10);
-  return true;
-}
-
-bool parse_args(int argc, char** argv, Options& opt) {
-  std::vector<std::string> rest;
-  std::string error;
-  if (!parse_sweep_args(argc, argv, opt.sweep, rest, error)) {
-    std::fprintf(stderr, "mcan-fuzz: %s\n", error.c_str());
-    return false;
-  }
-  for (std::size_t i = 0; i < rest.size(); ++i) {
-    const std::string& a = rest[i];
-    auto need_value = [&](const char* flag, std::string& out) -> bool {
-      if (i + 1 >= rest.size()) {
-        std::fprintf(stderr, "mcan-fuzz: %s needs a value\n", flag);
-        return false;
-      }
-      out = rest[++i];
-      return true;
-    };
-    auto need_u64 = [&](const char* flag, std::uint64_t& out) -> bool {
-      std::string raw;
-      if (!need_value(flag, raw)) return false;
-      if (!parse_u64(raw, out)) {
-        std::fprintf(stderr, "mcan-fuzz: %s wants a number, got '%s'\n", flag,
-                     raw.c_str());
-        return false;
-      }
-      return true;
-    };
-    auto need_int = [&](const char* flag, int& out) -> bool {
-      std::uint64_t u = 0;
-      if (!need_u64(flag, u)) return false;
-      if (u > 1000000) {
-        std::fprintf(stderr, "mcan-fuzz: %s out of range\n", flag);
-        return false;
-      }
-      out = static_cast<int>(u);
-      return true;
-    };
-    std::string v;
-    if (a == "-h" || a == "--help") {
-      usage(stdout);
-      // exit in the --help path: before any thread exists.
-      std::exit(0);  // NOLINT(concurrency-mt-unsafe)
-    } else if (a == "--seed") {
-      if (!need_u64("--seed", opt.seed)) return false;
-    } else if (a == "--max-execs") {
-      if (!need_u64("--max-execs", opt.max_execs)) return false;
-    } else if (a == "--max-time") {
-      if (!need_value("--max-time", v)) return false;
-      char* end = nullptr;
-      opt.max_time_s = std::strtod(v.c_str(), &end);
-      if (end == v.c_str() || *end != '\0' || opt.max_time_s < 0) {
-        std::fprintf(stderr, "mcan-fuzz: --max-time wants seconds, got '%s'\n",
-                     v.c_str());
-        return false;
-      }
-    } else if (a == "--batch") {
-      if (!need_int("--batch", opt.batch)) return false;
-    } else if (a == "--max-flips") {
-      if (!need_int("--max-flips", opt.max_flips)) return false;
-    } else if (a == "--envelope") {
-      opt.envelope = true;
-    } else if (a == "--mutate-protocol") {
-      opt.mutate_protocol = true;
-    } else if (a == "--corpus") {
-      if (!need_value("--corpus", opt.corpus_dir)) return false;
-    } else if (a == "--findings") {
-      if (!need_value("--findings", opt.findings_dir)) return false;
-    } else if (a == "--expect-classes") {
-      if (!need_value("--expect-classes", v)) return false;
-      std::uint32_t mask = 0;
-      if (!parse_fuzz_classes(v, mask, error)) {
-        std::fprintf(stderr, "mcan-fuzz: %s\n", error.c_str());
-        return false;
-      }
-      opt.expect_classes = mask;
-    } else if (a == "--stats-json") {
-      if (!need_value("--stats-json", opt.stats_json)) return false;
-    } else if (!a.empty() && a[0] == '-') {
-      std::fprintf(stderr, "mcan-fuzz: unknown option %s\n", a.c_str());
-      return false;
-    } else if (opt.command.empty()) {
-      opt.command = a;
-    } else {
-      opt.inputs.push_back(a);
-    }
-  }
-  if (opt.command.empty()) {
-    std::fprintf(stderr, "mcan-fuzz: no command given\n");
-    return false;
-  }
-  return true;
-}
-
-/// The single protocol a fuzz campaign targets.
-ProtocolParams target_protocol(const Options& opt) {
-  const std::vector<ProtocolParams> set = opt.sweep.protocols;
-  if (set.size() > 1) {
-    throw std::invalid_argument(
-        "mcan-fuzz targets one protocol per campaign; give --protocol once");
-  }
-  return set.empty() ? ProtocolParams::standard_can() : set.front();
-}
-
-FuzzConfig make_config(const Options& opt, const ProtocolParams& proto) {
-  FuzzConfig cfg;
-  cfg.protocol = proto;
-  cfg.n_nodes = opt.sweep.n_nodes;
-  cfg.seed = opt.seed;
-  cfg.max_execs = opt.max_execs;
-  cfg.max_time_s = opt.max_time_s;
-  cfg.jobs = opt.sweep.jobs;
-  cfg.batch = opt.batch;
-  cfg.bounds.mutate_protocol = opt.mutate_protocol;
-  if (opt.max_flips > 0) cfg.bounds.max_flips = opt.max_flips;
-  if (opt.envelope) {
-    // The paper's <= m claim is about frame-tail disturbances with a
-    // fixed set of live nodes: cap the flip count at the protocol's
-    // tolerance (m for MajorCAN_m; the classic variants tolerate none,
-    // but a cap below 2 would leave nothing to search), restrict flips to
-    // the EOF-relative end-game window the model checker sweeps, and keep
-    // crashes out — fail-silence is a separate fault hypothesis.  Without
-    // --envelope the fuzzer happily shows that a single mid-frame body
-    // flip defeats even MajorCAN (the corrupted receiver accepts by
-    // majority but has no intact frame to deliver); see docs/FUZZING.md.
-    cfg.bounds.max_flips =
-        proto.variant == Variant::MajorCan ? proto.m : 2;
-    cfg.bounds.allow_body = false;
-    cfg.bounds.allow_crash = false;
-    cfg.bounds.mutate_protocol = false;
-  }
-  return cfg;
-}
+constexpr const char* kUsage =
+    "usage: mcan-fuzz <run|triage|replay|merge|stats> [options] [files]\n"
+    "\n"
+    "Coverage-guided fuzzing of the scenario space: mutate flip patterns,\n"
+    "fault timing, traffic mixes, crashes and bus sizes; keep inputs that\n"
+    "reach new FSM transitions or property outcomes; minimize and export\n"
+    "violations as replayable .scn files.\n"
+    "\n"
+    "commands:\n"
+    "  run      fuzz a protocol (deterministic in --seed/--max-execs)\n"
+    "  triage   minimize + dedupe + export .scn findings given as files\n"
+    "  replay   run .scn files through the oracle and report classes\n"
+    "  merge    fold corpus directories into --corpus, keeping novelty\n"
+    "  stats    describe a corpus directory\n";
 
 int check_expect_gate(const Options& opt, std::uint32_t found) {
   return opt.expect_classes
@@ -265,29 +116,14 @@ bool write_file(const std::string& path, const std::string& content) {
   return static_cast<bool>(f);
 }
 
-/// Expand positional args: directories contribute their *.scn files.
-std::vector<std::string> expand_inputs(const std::vector<std::string>& in) {
-  std::vector<std::string> files;
-  for (const std::string& path : in) {
-    if (std::filesystem::is_directory(path)) {
-      std::vector<std::filesystem::path> found;
-      for (const auto& e : std::filesystem::directory_iterator(path)) {
-        if (e.path().extension() == ".scn") found.push_back(e.path());
-      }
-      std::sort(found.begin(), found.end());
-      for (const auto& p : found) files.push_back(p.string());
-    } else {
-      files.push_back(path);
-    }
-  }
-  return files;
-}
-
 int cmd_run(const Options& opt) {
-  const ProtocolParams proto = target_protocol(opt);
-  FuzzConfig cfg = make_config(opt, proto);
+  FuzzJob job = opt.job;
+  job.resolve();
+  FuzzConfig cfg = job.cfg;
+  const ProtocolParams proto = cfg.protocol;
+  cfg.jobs = opt.run.jobs;
   cfg.stop = &g_interrupted;
-  if (opt.sweep.progress) {
+  if (opt.run.progress) {
     cfg.on_round = [](const FuzzStats& st) {
       std::fprintf(stderr,
                    "\r%llu execs, corpus %d (%d sig bits, %d fsm), "
@@ -302,7 +138,7 @@ int cmd_run(const Options& opt) {
   std::vector<ScenarioSpec> seeds;
   if (!opt.corpus_dir.empty() &&
       std::filesystem::is_directory(opt.corpus_dir)) {
-    for (const std::string& f : expand_inputs({opt.corpus_dir})) {
+    for (const std::string& f : scenario_files({opt.corpus_dir})) {
       seeds.push_back(load_scenario_file(f));
     }
     std::printf("seeded %zu corpus entries from %s\n", seeds.size(),
@@ -310,7 +146,7 @@ int cmd_run(const Options& opt) {
   }
 
   const FuzzResult res = run_fuzz(cfg, seeds);
-  if (opt.sweep.progress) std::fprintf(stderr, "\n");
+  if (opt.run.progress) std::fprintf(stderr, "\n");
 
   std::printf(
       "%s nodes=%d seed=%llu: %llu execs, %llu admitted (corpus %d after"
@@ -329,7 +165,7 @@ int cmd_run(const Options& opt) {
   bool replay_failed = false;
   if (!res.findings.empty()) {
     const std::string campaign =
-        proto.name() + ", seed " + std::to_string(opt.seed) + ", " +
+        proto.name() + ", seed " + std::to_string(cfg.seed) + ", " +
         std::to_string(res.stats.execs) + " execs";
     const std::vector<TriagedFinding> triaged =
         export_findings(res.findings, opt.findings_dir, campaign);
@@ -367,7 +203,7 @@ int cmd_run(const Options& opt) {
 int cmd_triage(const Options& opt) {
   std::vector<FuzzFinding> raw;
   std::uint32_t found = 0;
-  for (const std::string& path : expand_inputs(opt.inputs)) {
+  for (const std::string& path : scenario_files(opt.inputs)) {
     const ScenarioSpec spec = load_scenario_file(path);
     const FuzzVerdict v = run_fuzz_case(spec);
     if (!v.violation()) {
@@ -394,7 +230,7 @@ int cmd_triage(const Options& opt) {
 
 int cmd_replay(const Options& opt) {
   std::uint32_t found = 0;
-  for (const std::string& path : expand_inputs(opt.inputs)) {
+  for (const std::string& path : scenario_files(opt.inputs)) {
     const ScenarioSpec spec = load_scenario_file(path);
     const FuzzVerdict v = run_fuzz_case(spec);
     found |= v.classes;
@@ -444,8 +280,8 @@ int cmd_stats(const Options& opt) {
     st.signature_bits = corpus.accumulated().popcount();
     st.fsm_transitions = corpus.accumulated().fsm_popcount();
     if (!write_file(opt.stats_json,
-                    fuzz_stats_json(st, target_protocol(opt),
-                                    opt.sweep.n_nodes, opt.seed))) {
+                    fuzz_stats_json(st, opt.job.cfg.protocol,
+                                    opt.job.cfg.n_nodes, opt.job.cfg.seed))) {
       return 2;
     }
   }
@@ -456,10 +292,18 @@ int cmd_stats(const Options& opt) {
 
 int main(int argc, char** argv) {
   Options opt;
-  if (!parse_args(argc, argv, opt)) {
-    usage(stderr);
+  std::vector<std::string> positional;
+  if (const int rc = parse_flags("mcan-fuzz", argc, argv, bind_options(opt),
+                                 kUsage, &positional);
+      rc >= 0) {
+    return rc;
+  }
+  if (positional.empty()) {
+    std::fprintf(stderr, "mcan-fuzz: no command given (see --help)\n");
     return 2;
   }
+  opt.command = positional.front();
+  opt.inputs.assign(positional.begin() + 1, positional.end());
   std::signal(SIGINT, on_signal);
   std::signal(SIGTERM, on_signal);
   try {
@@ -472,8 +316,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "mcan-fuzz: %s\n", e.what());
     return 2;
   }
-  std::fprintf(stderr, "mcan-fuzz: unknown command '%s'\n",
+  std::fprintf(stderr, "mcan-fuzz: unknown command '%s' (see --help)\n",
                opt.command.c_str());
-  usage(stderr);
   return 2;
 }

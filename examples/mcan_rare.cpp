@@ -20,14 +20,12 @@
 #include <atomic>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <exception>
 #include <string>
 #include <vector>
 
 #include "rare/campaign.hpp"
-#include "scenario/sweep_cli.hpp"
+#include "sim/kernel.hpp"
 #include "util/text.hpp"
 
 namespace {
@@ -47,175 +45,37 @@ static_assert(std::atomic<bool>::is_always_lock_free,
 void on_signal(int) { g_interrupted.store(true); }
 
 struct Options {
-  SweepOptions sweep;
-  std::string command;
   RareConfig cfg;
-  double expect_within = 0;  ///< gate: p_hat within this factor of expr(4)
-  double expect_rel_ci = 0;  ///< gate: relative CI half-width at most this
+  RunOptions run;
+  RareGate gate;
+  std::string command;
 };
 
-void usage(std::FILE* to) {
-  std::fputs(
-      "usage: mcan-rare <command> [options]\n"
-      "\n"
-      "Rare-event Monte-Carlo estimation of the paper's Table-1\n"
-      "inconsistency probabilities, measured on the executable bus.\n"
-      "\n"
-      "commands:\n"
-      "  estimate   run a campaign and print the estimate (resumes the\n"
-      "             --journal if it already has snapshots)\n"
-      "  resume     like estimate, but requires an existing journal\n"
-      "  compare    run naive, importance and splitting campaigns on the\n"
-      "             same configuration and cross-tabulate with expr. (4)\n"
-      "  json       reprint a journaled campaign as JSON (no simulation)\n"
-      "\n"
-      "shared options (subset of the sweep vocabulary):\n",
-      to);
-  std::fputs(sweep_flags_help(), to);
-  std::fputs(
-      "\n"
-      "campaign options:\n"
-      "  --ber X            network bit error rate (default 1e-5)\n"
-      "  --trials N         Monte-Carlo trials (default 20000)\n"
-      "  --mode M           naive|importance|splitting (default importance)\n"
-      "  --seed S           campaign seed (default 1)\n"
-      "  --batch N          trials per merge round (default 256)\n"
-      "  --quiet N          per-trial quiescence budget in bits\n"
-      "  --journal FILE     checkpoint journal (resume-able)\n"
-      "  --checkpoint-every N   trials between snapshots (default 8192)\n"
-      "  --window-q X       proposal flip rate inside the window\n"
-      "  --tx-hot-q X       proposal rate at the transmitter hotspot bits\n"
-      "  --rx-hot-q X       proposal rate at the receiver hotspot bits\n"
-      "  --factor N         splitting factor per level (default 4)\n"
-      "  --max-particles N  per-trial particle cap (default 256)\n"
-      "  --expect-within X  exit 1 unless the estimate is within a factor\n"
-      "                     X of expression (4) (CI-aware)\n"
-      "  --expect-rel-ci X  exit 1 unless rel. CI half-width <= X\n"
-      "  -h, --help         this text\n"
-      "\n"
-      "The sweep --nodes default is overridden to 32 (the Table-1 bus);\n"
-      "--window LO:HI repositions the biased flip window (EOF-relative).\n",
-      to);
+BoundOptions bind_options(Options& opt) {
+  return join({rare_options().bind(opt.cfg),
+               run_options().bind(opt.run, {"--jobs", "--window", "--json",
+                                            "--no-progress"}),
+               {kernel_option()}, rare_gate_options().bind(opt.gate)});
 }
 
-bool parse_double(const std::string& s, double& out) {
-  char* end = nullptr;
-  out = std::strtod(s.c_str(), &end);
-  return end && *end == '\0' && !s.empty();
-}
-
-bool parse_args(int argc, char** argv, Options& opt) {
-  opt.sweep.n_nodes = 0;  // sentinel: distinguish "unset" from "--nodes 3"
-  std::vector<std::string> rest;
-  std::string error;
-  if (!parse_sweep_args(argc, argv, opt.sweep, rest, error)) {
-    std::fprintf(stderr, "mcan-rare: %s\n", error.c_str());
-    return false;
-  }
-  for (std::size_t i = 0; i < rest.size(); ++i) {
-    const std::string& a = rest[i];
-    auto need_value = [&](const char* flag, std::string& out) -> bool {
-      if (i + 1 >= rest.size()) {
-        std::fprintf(stderr, "mcan-rare: %s needs a value\n", flag);
-        return false;
-      }
-      out = rest[++i];
-      return true;
-    };
-    auto need_double = [&](const char* flag, double& out) -> bool {
-      std::string v;
-      if (!need_value(flag, v)) return false;
-      if (!parse_double(v, out)) {
-        std::fprintf(stderr, "mcan-rare: %s: '%s' is not a number\n", flag,
-                     v.c_str());
-        return false;
-      }
-      return true;
-    };
-    auto need_ll = [&](const char* flag, long long& out) -> bool {
-      double d = 0;
-      if (!need_double(flag, d)) return false;
-      out = static_cast<long long>(d);
-      return true;
-    };
-    long long v = 0;
-    if (a == "-h" || a == "--help") {
-      usage(stdout);
-      // exit in the --help path: before any thread exists.
-      std::exit(0);  // NOLINT(concurrency-mt-unsafe)
-    } else if (opt.command.empty() && !a.empty() && a[0] != '-') {
-      opt.command = a;
-    } else if (a == "--ber") {
-      if (!need_double("--ber", opt.cfg.ber)) return false;
-    } else if (a == "--trials") {
-      if (!need_ll("--trials", opt.cfg.trials)) return false;
-    } else if (a == "--seed") {
-      if (!need_ll("--seed", v)) return false;
-      opt.cfg.seed = static_cast<std::uint64_t>(v);
-    } else if (a == "--batch") {
-      if (!need_ll("--batch", v)) return false;
-      opt.cfg.batch = static_cast<int>(v);
-    } else if (a == "--quiet") {
-      if (!need_ll("--quiet", v)) return false;
-      opt.cfg.quiet_budget = v;
-    } else if (a == "--journal") {
-      if (!need_value("--journal", opt.cfg.journal)) return false;
-    } else if (a == "--checkpoint-every") {
-      if (!need_ll("--checkpoint-every", opt.cfg.checkpoint_every)) {
-        return false;
-      }
-    } else if (a == "--mode") {
-      std::string m;
-      if (!need_value("--mode", m)) return false;
-      if (m == "naive") {
-        opt.cfg.mode = RareMode::kNaive;
-      } else if (m == "importance") {
-        opt.cfg.mode = RareMode::kImportance;
-      } else if (m == "splitting") {
-        opt.cfg.mode = RareMode::kSplitting;
-      } else {
-        std::fprintf(stderr,
-                     "mcan-rare: --mode: want naive|importance|splitting\n");
-        return false;
-      }
-    } else if (a == "--window-q") {
-      if (!need_double("--window-q", opt.cfg.bias.window_q)) return false;
-    } else if (a == "--tx-hot-q") {
-      if (!need_double("--tx-hot-q", opt.cfg.bias.tx_hot_q)) return false;
-    } else if (a == "--rx-hot-q") {
-      if (!need_double("--rx-hot-q", opt.cfg.bias.rx_hot_q)) return false;
-    } else if (a == "--factor") {
-      if (!need_ll("--factor", v)) return false;
-      opt.cfg.split.factor = static_cast<int>(v);
-    } else if (a == "--max-particles") {
-      if (!need_ll("--max-particles", v)) return false;
-      opt.cfg.split.max_particles = static_cast<int>(v);
-    } else if (a == "--expect-within") {
-      if (!need_double("--expect-within", opt.expect_within)) return false;
-    } else if (a == "--expect-rel-ci") {
-      if (!need_double("--expect-rel-ci", opt.expect_rel_ci)) return false;
-    } else {
-      std::fprintf(stderr, "mcan-rare: unknown option %s\n", a.c_str());
-      return false;
-    }
-  }
-  if (opt.command.empty()) {
-    std::fprintf(stderr, "mcan-rare: no command (see --help)\n");
-    return false;
-  }
-  // Fold the shared sweep vocabulary into the campaign config.
-  if (!opt.sweep.protocols.empty()) {
-    opt.cfg.protocol = opt.sweep.protocols.front();
-  }
-  opt.cfg.n_nodes = opt.sweep.n_nodes > 0 ? opt.sweep.n_nodes : 32;
-  opt.cfg.jobs = opt.sweep.jobs;
-  if (opt.sweep.win_lo) opt.cfg.bias.win_lo_rel = *opt.sweep.win_lo;
-  if (opt.sweep.win_hi) opt.cfg.bias.win_hi_rel = *opt.sweep.win_hi;
-  return true;
-}
+constexpr const char* kUsage =
+    "usage: mcan-rare <command> [options]\n"
+    "\n"
+    "Rare-event Monte-Carlo estimation of the paper's Table-1\n"
+    "inconsistency probabilities, measured on the executable bus.\n"
+    "\n"
+    "commands:\n"
+    "  estimate   run a campaign and print the estimate (resumes the\n"
+    "             --journal if it already has snapshots)\n"
+    "  resume     like estimate, but requires an existing journal\n"
+    "  compare    run naive, importance and splitting campaigns on the\n"
+    "             same configuration and cross-tabulate with expr. (4)\n"
+    "  json       reprint a journaled campaign as JSON (no simulation)\n"
+    "\n"
+    "--window LO:HI repositions the biased flip window.\n";
 
 void attach_progress(Options& opt) {
-  if (!opt.sweep.progress) return;
+  if (!opt.run.progress) return;
   opt.cfg.on_progress = [](long long done, long long total) {
     std::fprintf(stderr, "\r  %lld / %lld trials", done, total);
     if (done >= total) std::fputc('\n', stderr);
@@ -223,45 +83,14 @@ void attach_progress(Options& opt) {
   };
 }
 
-/// Check the --expect-* gates against a finished campaign; returns the
-/// process exit code.
-int check_gates(const Options& opt, const RareResult& res) {
-  int rc = 0;
-  const RareEstimate est = res.imo_estimate();
-  if (opt.expect_rel_ci > 0) {
-    if (est.hits == 0 || est.rel_halfwidth > opt.expect_rel_ci) {
-      std::fprintf(stderr,
-                   "mcan-rare: FAIL relative CI half-width %.2f > %.2f "
-                   "(hits=%lld)\n",
-                   est.rel_halfwidth, opt.expect_rel_ci, est.hits);
-      rc = 1;
-    }
-  }
-  if (opt.expect_within > 0) {
-    const double p4 = res.closed_form_p4();
-    // CI-aware: the gate holds if any point of [ci_lo, ci_hi] lies within
-    // a factor `expect_within` of the closed form.
-    const bool ok = p4 > 0 && est.ci_hi >= p4 / opt.expect_within &&
-                    est.ci_lo <= p4 * opt.expect_within;
-    if (!ok) {
-      std::fprintf(stderr,
-                   "mcan-rare: FAIL estimate [%.3e, %.3e] not within %.1fx "
-                   "of expression (4) = %.3e\n",
-                   est.ci_lo, est.ci_hi, opt.expect_within, p4);
-      rc = 1;
-    }
-  }
-  return rc;
-}
-
 int write_json(const Options& opt, const RareResult& res) {
-  if (opt.sweep.json.empty()) return 0;
-  if (!write_text_file(opt.sweep.json, res.to_json())) {
+  if (opt.run.json.empty()) return 0;
+  if (!write_text_file(opt.run.json, res.to_json())) {
     std::fprintf(stderr, "mcan-rare: cannot write %s\n",
-                 opt.sweep.json.c_str());
+                 opt.run.json.c_str());
     return 2;
   }
-  std::printf("json written to %s\n", opt.sweep.json.c_str());
+  std::printf("json written to %s\n", opt.run.json.c_str());
   return 0;
 }
 
@@ -287,7 +116,8 @@ int cmd_estimate(Options& opt, bool require_journal) {
                  opt.cfg.journal.empty() ? "" : "; journal flushed");
     return 130;
   }
-  return check_gates(opt, res);
+  return check_rare_gate("mcan-rare", opt.gate, res.imo_estimate(),
+                         res.closed_form_p4());
 }
 
 int cmd_compare(Options& opt) {
@@ -318,13 +148,13 @@ int cmd_compare(Options& opt) {
   json += "],\"closed_form_p4\":" + sci(p4, 12) + "}\n";
   rows.push_back({"expr(4)", sci(p4), "-", "-", "-", "-", "-"});
   std::printf("%s", render_table(rows).c_str());
-  if (!opt.sweep.json.empty()) {
-    if (!write_text_file(opt.sweep.json, json)) {
+  if (!opt.run.json.empty()) {
+    if (!write_text_file(opt.run.json, json)) {
       std::fprintf(stderr, "mcan-rare: cannot write %s\n",
-                   opt.sweep.json.c_str());
+                   opt.run.json.c_str());
       return 2;
     }
-    std::printf("json written to %s\n", opt.sweep.json.c_str());
+    std::printf("json written to %s\n", opt.run.json.c_str());
   }
   return 0;
 }
@@ -343,8 +173,21 @@ int cmd_json(const Options& opt) {
 
 int main(int argc, char** argv) {
   Options opt;
-  if (!parse_args(argc, argv, opt)) {
+  std::vector<std::string> positional;
+  if (const int rc = parse_flags("mcan-rare", argc, argv, bind_options(opt),
+                                 kUsage, &positional);
+      rc >= 0) {
+    return rc;
+  }
+  if (positional.size() != 1) {
+    std::fprintf(stderr, "mcan-rare: want one command (see --help)\n");
     return 2;
+  }
+  opt.command = positional.front();
+  opt.cfg.jobs = opt.run.jobs;
+  if (opt.run.window) {
+    opt.cfg.bias.win_lo_rel = opt.run.window->first;
+    opt.cfg.bias.win_hi_rel = opt.run.window->second;
   }
   std::signal(SIGINT, on_signal);
   std::signal(SIGTERM, on_signal);

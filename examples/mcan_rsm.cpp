@@ -29,7 +29,8 @@
 #include "fuzz/engine.hpp"
 #include "fuzz/triage.hpp"
 #include "rsm/check.hpp"
-#include "scenario/sweep_cli.hpp"
+#include "scenario/model_check.hpp"
+#include "sim/kernel.hpp"
 
 namespace {
 
@@ -47,219 +48,69 @@ static_assert(std::atomic<bool>::is_always_lock_free,
 void on_signal(int) { g_interrupted.store(true); }
 
 struct Options {
-  SweepOptions sweep;
-  std::string command;
-  std::vector<std::string> inputs;  ///< positional .scn files/dirs
-  RsmWorkload workload;
-  bool workload_given = false;
-  std::uint64_t seed = 1;
-  std::uint64_t max_execs = 5000;
-  int batch = 64;
-  int max_flips = 0;      ///< 0 = FuzzBounds default
-  int max_frames = 2;     ///< check: flip targets cover this many frames
-  bool envelope = false;  ///< cap disturbances at the protocol's tolerance
+  Options() { job.cfg.max_execs = 5000; }
+
+  FuzzJob job{FuzzKind::Rsm};  ///< workload, bus size, fuzz campaign
+  CheckSweep sweep;            ///< check: protocol set and k
+  RunOptions run;
+  int max_frames = 2;  ///< check: flip targets cover this many frames
   bool expect_clean = false;
   std::string findings_dir = "rsm-findings";
   std::string stats_json;
   std::optional<std::uint32_t> expect_classes;
+  std::string command;
+  std::vector<std::string> inputs;  ///< positional .scn files/dirs
 };
 
-void usage(std::FILE* to) {
-  std::fputs(
-      "usage: mcan-rsm <run|check|fuzz|replay> [options] [files.scn]\n"
-      "\n"
-      "Replicated-state-machine consensus over the simulated bus: commands\n"
-      "fragment into tagged frames, replicas append in total order and\n"
-      "commit on k votes; crashed hosts rejoin via snapshot transfer.  The\n"
-      "checkers judge election safety, log matching, state-machine safety\n"
-      "and liveness — standard CAN's inconsistent message omission breaks\n"
-      "them, MajorCAN_m inside its <= m envelope does not.\n"
-      "\n"
-      "commands:\n"
-      "  run      run .scn files (or one synthesized scenario) and report\n"
-      "  check    bounded model check: every flip pattern in the window\n"
-      "  fuzz     coverage-guided search with the consensus workload\n"
-      "  replay   .scn files through the fuzz oracle; report classes\n"
-      "\n"
-      "sweep options (protocol/nodes/errors/jobs/window apply):\n",
-      to);
-  std::fputs(sweep_flags_help(), to);
-  std::fputs(
-      "\n"
-      "workload options (all commands):\n"
-      "  --commands N        commands proposed round-robin (default 3)\n"
-      "  --payload N         command payload bytes, 1..16 (default 4)\n"
-      "  --rsm-k N           votes needed to commit (default 2)\n"
-      "  --spacing N         bits between proposals (default 2000)\n"
-      "  --link L            direct|edcan|relcan|totcan (default direct)\n"
-      "  --crash-node N      host to crash (default none)\n"
-      "  --crash-t T         crash time in bits\n"
-      "  --recover-t T       rejoin time in bits (0 = stays down)\n"
-      "\n"
-      "tool options:\n"
-      "  --seed N            fuzz campaign seed (default 1)\n"
-      "  --max-execs N       fuzz execution budget (default 5000)\n"
-      "  --batch N           fuzz executions per round (default 64)\n"
-      "  --max-flips N       fuzz: cap flips per input (default 8)\n"
-      "  --max-frames N      check: flip targets per frame index < N\n"
-      "                      (default 2)\n"
-      "  --envelope          fuzz: cap disturbances at the protocol\n"
-      "                      tolerance (m for MajorCAN_m)\n"
-      "  --findings DIR      write .scn reproducers here\n"
-      "                      (default rsm-findings)\n"
-      "  --stats-json FILE   fuzz: campaign stats as JSON (same bytes as\n"
-      "                      a served \"rsm\" job's result)\n"
-      "  --expect-clean      exit 1 unless every property held everywhere\n"
-      "  --expect-classes L  comma list of violation classes that must all\n"
-      "                      be found (none = require a clean campaign);\n"
-      "                      exit 1 otherwise\n"
-      "  -h, --help          this text\n",
-      to);
+BoundOptions bind_options(Options& opt) {
+  static const OptionTable<Options> tool = [] {
+    OptionTable<Options> t;
+    t.integer({"--max-frames", "", "", "N",
+               "check: flip targets per frame index < N"},
+              &Options::max_frames, 1, 1000)
+        .text({"--findings", "", "", "DIR", "write .scn reproducers here"},
+              &Options::findings_dir)
+        .text({"--stats-json", "", "", "FILE",
+               "fuzz: campaign stats as JSON (same bytes as\n"
+               "a served \"rsm\" job's result)"},
+              &Options::stats_json)
+        .toggle({"--expect-clean", "", "", "",
+                 "exit 1 unless every property held everywhere"},
+                &Options::expect_clean, true);
+    return t;
+  }();
+  return join(
+      {check_sweep_options().bind(opt.sweep, {"--protocol", "--errors"}),
+       fuzz_options(FuzzKind::Rsm)
+           .bind(opt.job, {"--nodes", "--commands", "--payload", "--rsm-k",
+                           "--spacing", "--link", "--crash-node", "--crash-t",
+                           "--recover-t", "--seed", "--max-execs", "--batch",
+                           "--max-flips", "--envelope"}),
+       run_options().bind(opt.run, {"--jobs", "--window", "--no-progress"}),
+       {kernel_option()}, tool.bind(opt),
+       {expect_classes_option(opt.expect_classes)}});
 }
 
-bool parse_u64(const std::string& s, std::uint64_t& out) {
-  if (s.empty()) return false;
-  for (char c : s) {
-    if (!std::isdigit(static_cast<unsigned char>(c))) return false;
-  }
-  out = std::strtoull(s.c_str(), nullptr, 10);
-  return true;
-}
-
-bool parse_args(int argc, char** argv, Options& opt) {
-  std::vector<std::string> rest;
-  std::string error;
-  if (!parse_sweep_args(argc, argv, opt.sweep, rest, error)) {
-    std::fprintf(stderr, "mcan-rsm: %s\n", error.c_str());
-    return false;
-  }
-  for (std::size_t i = 0; i < rest.size(); ++i) {
-    const std::string& a = rest[i];
-    auto need_value = [&](const char* flag, std::string& out) -> bool {
-      if (i + 1 >= rest.size()) {
-        std::fprintf(stderr, "mcan-rsm: %s needs a value\n", flag);
-        return false;
-      }
-      out = rest[++i];
-      return true;
-    };
-    auto need_u64 = [&](const char* flag, std::uint64_t& out) -> bool {
-      std::string raw;
-      if (!need_value(flag, raw)) return false;
-      if (!parse_u64(raw, out)) {
-        std::fprintf(stderr, "mcan-rsm: %s wants a number, got '%s'\n", flag,
-                     raw.c_str());
-        return false;
-      }
-      return true;
-    };
-    auto need_int = [&](const char* flag, int& out) -> bool {
-      std::uint64_t u = 0;
-      if (!need_u64(flag, u)) return false;
-      if (u > 1000000) {
-        std::fprintf(stderr, "mcan-rsm: %s out of range\n", flag);
-        return false;
-      }
-      out = static_cast<int>(u);
-      return true;
-    };
-    std::string v;
-    if (a == "-h" || a == "--help") {
-      usage(stdout);
-      // exit in the --help path: before any thread exists.
-      std::exit(0);  // NOLINT(concurrency-mt-unsafe)
-    } else if (a == "--commands") {
-      if (!need_int("--commands", opt.workload.commands)) return false;
-      opt.workload_given = true;
-    } else if (a == "--payload") {
-      if (!need_int("--payload", opt.workload.payload)) return false;
-      opt.workload_given = true;
-    } else if (a == "--rsm-k") {
-      if (!need_int("--rsm-k", opt.workload.k)) return false;
-      opt.workload_given = true;
-    } else if (a == "--spacing") {
-      int t = 0;
-      if (!need_int("--spacing", t)) return false;
-      opt.workload.spacing = static_cast<BitTime>(t);
-      opt.workload_given = true;
-    } else if (a == "--link") {
-      if (!need_value("--link", v)) return false;
-      opt.workload.link = -1;
-      for (int l = 0; l < 4; ++l) {
-        if (v == rsm_link_name(static_cast<RsmLink>(l))) opt.workload.link = l;
-      }
-      if (opt.workload.link < 0) {
-        std::fprintf(stderr,
-                     "mcan-rsm: --link wants direct|edcan|relcan|totcan, "
-                     "got '%s'\n",
-                     v.c_str());
-        return false;
-      }
-      opt.workload_given = true;
-    } else if (a == "--crash-node") {
-      if (!need_int("--crash-node", opt.workload.crash_node)) return false;
-      opt.workload_given = true;
-    } else if (a == "--crash-t") {
-      int t = 0;
-      if (!need_int("--crash-t", t)) return false;
-      opt.workload.crash_t = static_cast<BitTime>(t);
-      opt.workload_given = true;
-    } else if (a == "--recover-t") {
-      int t = 0;
-      if (!need_int("--recover-t", t)) return false;
-      opt.workload.recover_t = static_cast<BitTime>(t);
-      opt.workload_given = true;
-    } else if (a == "--seed") {
-      if (!need_u64("--seed", opt.seed)) return false;
-    } else if (a == "--max-execs") {
-      if (!need_u64("--max-execs", opt.max_execs)) return false;
-    } else if (a == "--batch") {
-      if (!need_int("--batch", opt.batch)) return false;
-    } else if (a == "--max-flips") {
-      if (!need_int("--max-flips", opt.max_flips)) return false;
-    } else if (a == "--max-frames") {
-      if (!need_int("--max-frames", opt.max_frames)) return false;
-    } else if (a == "--envelope") {
-      opt.envelope = true;
-    } else if (a == "--findings") {
-      if (!need_value("--findings", opt.findings_dir)) return false;
-    } else if (a == "--stats-json") {
-      if (!need_value("--stats-json", opt.stats_json)) return false;
-    } else if (a == "--expect-clean") {
-      opt.expect_clean = true;
-    } else if (a == "--expect-classes") {
-      if (!need_value("--expect-classes", v)) return false;
-      std::uint32_t mask = 0;
-      if (!parse_fuzz_classes(v, mask, error)) {
-        std::fprintf(stderr, "mcan-rsm: %s\n", error.c_str());
-        return false;
-      }
-      opt.expect_classes = mask;
-    } else if (!a.empty() && a[0] == '-') {
-      std::fprintf(stderr, "mcan-rsm: unknown option %s\n", a.c_str());
-      return false;
-    } else if (opt.command.empty()) {
-      opt.command = a;
-    } else {
-      opt.inputs.push_back(a);
-    }
-  }
-  if (opt.command.empty()) {
-    std::fprintf(stderr, "mcan-rsm: no command given\n");
-    return false;
-  }
-  return true;
-}
-
-/// The single protocol a run/fuzz invocation targets.
-ProtocolParams target_protocol(const Options& opt) {
-  const std::vector<ProtocolParams>& set = opt.sweep.protocols;
-  if (set.size() > 1) {
-    throw std::invalid_argument(
-        "mcan-rsm run/fuzz target one protocol; give --protocol once");
-  }
-  return set.empty() ? ProtocolParams::standard_can() : set.front();
-}
+constexpr const char* kUsage =
+    "usage: mcan-rsm <run|check|fuzz|replay> [options] [files.scn]\n"
+    "\n"
+    "Replicated-state-machine consensus over the simulated bus: commands\n"
+    "fragment into tagged frames, replicas append in total order and\n"
+    "commit on k votes; crashed hosts rejoin via snapshot transfer.  The\n"
+    "checkers judge election safety, log matching, state-machine safety\n"
+    "and liveness — standard CAN's inconsistent message omission breaks\n"
+    "them, MajorCAN_m inside its <= m envelope does not.\n"
+    "\n"
+    "commands:\n"
+    "  run      run .scn files (or one synthesized scenario) and report\n"
+    "  check    bounded model check: every flip pattern in the window\n"
+    "           (--protocol set, -k, --window, --max-frames)\n"
+    "  fuzz     coverage-guided search with the consensus workload\n"
+    "           (--seed, --max-execs, --batch, --max-flips, --envelope)\n"
+    "  replay   .scn files through the fuzz oracle; report classes\n"
+    "\n"
+    "The workload flags (--commands ... --recover-t) apply to every\n"
+    "command; run and fuzz take one --protocol (default can).\n";
 
 std::string file_slug(const std::string& name) {
   std::string out;
@@ -283,24 +134,6 @@ bool write_file(const std::string& path, const std::string& content) {
   }
   f << content;
   return static_cast<bool>(f);
-}
-
-/// Expand positional args: directories contribute their *.scn files.
-std::vector<std::string> expand_inputs(const std::vector<std::string>& in) {
-  std::vector<std::string> files;
-  for (const std::string& path : in) {
-    if (std::filesystem::is_directory(path)) {
-      std::vector<std::filesystem::path> found;
-      for (const auto& e : std::filesystem::directory_iterator(path)) {
-        if (e.path().extension() == ".scn") found.push_back(e.path());
-      }
-      std::sort(found.begin(), found.end());
-      for (const auto& p : found) files.push_back(p.string());
-    } else {
-      files.push_back(path);
-    }
-  }
-  return files;
 }
 
 int check_expect_gate(const Options& opt, std::uint32_t found) {
@@ -335,18 +168,18 @@ int cmd_run(const Options& opt) {
     // Synthesize one scenario from the flags.
     ScenarioSpec spec;
     spec.name = "mcan-rsm run";
-    spec.protocol = target_protocol(opt);
-    spec.n_nodes = opt.sweep.n_nodes;
-    spec.rsm = sanitize_rsm_workload(opt.workload, spec.n_nodes);
+    spec.protocol = opt.sweep.single_protocol();
+    spec.n_nodes = opt.job.cfg.n_nodes;
+    spec.rsm = sanitize_rsm_workload(*opt.job.cfg.workload, spec.n_nodes);
     const RsmRunResult res = run_rsm_scenario(spec);
     report_run(spec.protocol.name(), res, opt, any_dirty, any_unmet);
   } else {
-    for (const std::string& path : expand_inputs(opt.inputs)) {
+    for (const std::string& path : scenario_files(opt.inputs)) {
       ScenarioSpec spec = load_scenario_file(path);
       if (!spec.rsm) {
         // A wire-level scenario: attach the flag workload so the judge
         // has an application to watch.
-        spec.rsm = sanitize_rsm_workload(opt.workload, spec.n_nodes);
+        spec.rsm = sanitize_rsm_workload(*opt.job.cfg.workload, spec.n_nodes);
       }
       const RsmRunResult res = run_rsm_scenario(spec);
       report_run(path, res, opt, any_dirty, any_unmet);
@@ -364,16 +197,19 @@ int cmd_run(const Options& opt) {
 int cmd_check(const Options& opt) {
   bool any_violations = false;
   bool stopped = false;
+  const int n_nodes = opt.job.cfg.n_nodes;
   for (const ProtocolParams& proto : opt.sweep.protocol_set()) {
     RsmCheckConfig cfg;
     cfg.base.protocol = proto;
-    cfg.base.n_nodes = opt.sweep.n_nodes;
-    cfg.base.rsm = sanitize_rsm_workload(opt.workload, opt.sweep.n_nodes);
+    cfg.base.n_nodes = n_nodes;
+    cfg.base.rsm = sanitize_rsm_workload(*opt.job.cfg.workload, n_nodes);
     cfg.max_k = opt.sweep.max_k;
-    if (opt.sweep.win_lo) cfg.win_lo = *opt.sweep.win_lo;
-    if (opt.sweep.win_hi) cfg.win_hi = *opt.sweep.win_hi;
+    if (opt.run.window) {
+      cfg.win_lo = opt.run.window->first;
+      cfg.win_hi = opt.run.window->second;
+    }
     cfg.max_frames = opt.max_frames;
-    cfg.jobs = opt.sweep.jobs;
+    cfg.jobs = opt.run.jobs;
     cfg.stop = &g_interrupted;
     const RsmCheckResult res = run_rsm_check(cfg);
     std::printf("%s nodes=%d k<=%d window %d..%d: %s\n", proto.name().c_str(),
@@ -401,27 +237,14 @@ int cmd_check(const Options& opt) {
 }
 
 int cmd_fuzz(const Options& opt) {
-  const ProtocolParams proto = target_protocol(opt);
-  FuzzConfig cfg;
-  cfg.protocol = proto;
-  cfg.n_nodes = opt.sweep.n_nodes;
-  cfg.seed = opt.seed;
-  cfg.max_execs = opt.max_execs;
-  cfg.jobs = opt.sweep.jobs;
-  cfg.batch = opt.batch;
-  cfg.workload = opt.workload;
+  FuzzJob job = opt.job;
+  job.cfg.protocol = opt.sweep.single_protocol();
+  job.resolve();
+  FuzzConfig cfg = job.cfg;
+  const ProtocolParams proto = cfg.protocol;
+  cfg.jobs = opt.run.jobs;
   cfg.stop = &g_interrupted;
-  if (opt.max_flips > 0) cfg.bounds.max_flips = opt.max_flips;
-  if (opt.envelope) {
-    // The paper's <= m claim, judged at the application: frame-tail
-    // disturbances only, capped at the protocol's tolerance, no
-    // fail-silence.  See mcan-fuzz --envelope for the rationale.
-    cfg.bounds.max_flips = proto.variant == Variant::MajorCan ? proto.m : 2;
-    cfg.bounds.allow_body = false;
-    cfg.bounds.allow_crash = false;
-    cfg.bounds.mutate_protocol = false;
-  }
-  if (opt.sweep.progress) {
+  if (opt.run.progress) {
     cfg.on_round = [](const FuzzStats& st) {
       std::fprintf(stderr, "\r%llu execs, corpus %d, %llu findings [%s]   ",
                    static_cast<unsigned long long>(st.execs), st.corpus_size,
@@ -431,7 +254,7 @@ int cmd_fuzz(const Options& opt) {
   }
 
   const FuzzResult res = run_fuzz(cfg);
-  if (opt.sweep.progress) std::fprintf(stderr, "\n");
+  if (opt.run.progress) std::fprintf(stderr, "\n");
   std::printf("%s nodes=%d seed=%llu: %llu execs, %llu findings [%s]\n",
               proto.name().c_str(), cfg.n_nodes,
               static_cast<unsigned long long>(cfg.seed),
@@ -442,7 +265,7 @@ int cmd_fuzz(const Options& opt) {
   bool replay_failed = false;
   if (!res.findings.empty()) {
     const std::string campaign = proto.name() + " + rsm, seed " +
-                                 std::to_string(opt.seed) + ", " +
+                                 std::to_string(cfg.seed) + ", " +
                                  std::to_string(res.stats.execs) + " execs";
     const std::vector<TriagedFinding> triaged =
         export_findings(res.findings, opt.findings_dir, campaign);
@@ -471,7 +294,7 @@ int cmd_fuzz(const Options& opt) {
 
 int cmd_replay(const Options& opt) {
   std::uint32_t found = 0;
-  for (const std::string& path : expand_inputs(opt.inputs)) {
+  for (const std::string& path : scenario_files(opt.inputs)) {
     const ScenarioSpec spec = load_scenario_file(path);
     const FuzzVerdict v = run_fuzz_case(spec);
     found |= v.classes;
@@ -487,10 +310,18 @@ int cmd_replay(const Options& opt) {
 
 int main(int argc, char** argv) {
   Options opt;
-  if (!parse_args(argc, argv, opt)) {
-    usage(stderr);
+  std::vector<std::string> positional;
+  if (const int rc = parse_flags("mcan-rsm", argc, argv, bind_options(opt),
+                                 kUsage, &positional);
+      rc >= 0) {
+    return rc;
+  }
+  if (positional.empty()) {
+    std::fprintf(stderr, "mcan-rsm: no command given (see --help)\n");
     return 2;
   }
+  opt.command = positional.front();
+  opt.inputs.assign(positional.begin() + 1, positional.end());
   std::signal(SIGINT, on_signal);
   std::signal(SIGTERM, on_signal);
   try {
@@ -502,8 +333,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "mcan-rsm: %s\n", e.what());
     return 2;
   }
-  std::fprintf(stderr, "mcan-rsm: unknown command '%s'\n",
+  std::fprintf(stderr, "mcan-rsm: unknown command '%s' (see --help)\n",
                opt.command.c_str());
-  usage(stderr);
   return 2;
 }

@@ -15,8 +15,8 @@
 //
 // Exit status: 0 = analysis ran and every --expect-* gate held,
 // 1 = a gate failed, 2 = usage error or unusable configuration.
+#include <climits>
 #include <cstdio>
-#include <cstdlib>
 #include <exception>
 #include <stdexcept>
 #include <string>
@@ -26,7 +26,8 @@
 #include "analysis/rta/rates.hpp"
 #include "analysis/rta/rta.hpp"
 #include "analysis/rta/validate.hpp"
-#include "scenario/sweep_cli.hpp"
+#include "scenario/model_check.hpp"
+#include "sim/kernel.hpp"
 #include "util/text.hpp"
 
 namespace {
@@ -34,11 +35,11 @@ namespace {
 using namespace mcan;
 
 struct Options {
-  SweepOptions sweep;
+  CheckSweep sweep;  ///< the protocol set
+  RunOptions run;
   std::string command = "analyze";
   std::string rates_path;
   double ber = 1e-5;
-  bool ber_given = false;
   double period_scale = 1.0;
   int max_retx = 8;
   BitTime horizon = 400000;
@@ -49,116 +50,59 @@ struct Options {
   bool expect_bounded = false;
 };
 
-void usage(std::FILE* to) {
-  std::fputs(
-      "usage: mcan-rta [analyze|compare|validate] [options]\n"
-      "\n"
-      "Probabilistic schedulability analysis of a periodic CAN message\n"
-      "set: deterministic Tindell/Davis response-time bounds, plus\n"
-      "response-time distributions and deadline-miss probabilities under\n"
-      "the per-variant error model (docs/RTA.md).\n"
-      "\n"
-      "commands:\n"
-      "  analyze    one protocol (the first --protocol; default: can)\n"
-      "  compare    every protocol of the sweep set side by side\n"
-      "  validate   analysis vs. bit-level simulation with injected faults\n"
-      "\n"
-      "sweep options (shared vocabulary; --nodes/-k are ignored here):\n",
-      to);
-  std::fputs(sweep_flags_help(), to);
-  std::fputs(
-      "\n"
-      "tool options:\n"
-      "  --rates FILE       load measured error rates from a rare-engine\n"
-      "                     result (BENCH_table1.json); the row nearest\n"
-      "                     --ber calibrates the model\n"
-      "  --ber X            per-bit error rate (default 1e-5)\n"
-      "  --period-scale F   multiply every period by F (F < 1 saturates)\n"
-      "  --max-retx N       retransmission depth modelled exactly"
-      " (default 8)\n"
-      "  --horizon N        validate: simulated bit times (default 400000)\n"
-      "  --seed S           validate: fault-injection seed (default 1)\n"
-      "  --slack B          validate: one-sided quantile slack in bits\n"
-      "  --expect-schedulable   exit 1 unless deterministically schedulable\n"
-      "  --expect-miss-below P  exit 1 unless every stream's deadline-miss\n"
-      "                         probability is below P\n"
-      "  --expect-bounded       validate: exit 1 if any simulated quantile\n"
-      "                         exceeds its analytic bound\n"
-      "  -h, --help         this text\n",
-      to);
+BoundOptions bind_options(Options& opt) {
+  static const OptionTable<Options> tool = [] {
+    OptionTable<Options> t;
+    t.text({"--rates", "", "", "FILE",
+            "load measured error rates from a rare-engine\n"
+            "result (BENCH_table1.json); the row nearest\n"
+            "--ber calibrates the model"},
+           &Options::rates_path)
+        .real({"--ber", "", "", "X", "per-bit error rate"}, &Options::ber, 0,
+              1)
+        .real({"--period-scale", "", "", "F",
+               "multiply every period by F (F < 1 saturates)"},
+              &Options::period_scale, 1e-9, 1e9)
+        .integer({"--max-retx", "", "", "N",
+                  "retransmission depth modelled exactly"},
+                 &Options::max_retx, 0, 1000)
+        .integer({"--horizon", "", "", "N", "validate: simulated bit times"},
+                 &Options::horizon, 1, LLONG_MAX)
+        .integer({"--seed", "", "", "S", "validate: fault-injection seed"},
+                 &Options::seed, 0, LLONG_MAX)
+        .integer({"--slack", "", "", "B",
+                  "validate: one-sided quantile slack in bits"},
+                 &Options::slack, 0, LLONG_MAX)
+        .toggle({"--expect-schedulable", "", "", "",
+                 "exit 1 unless deterministically schedulable"},
+                &Options::expect_schedulable, true)
+        .real({"--expect-miss-below", "", "", "P",
+               "exit 1 unless every stream's deadline-miss\n"
+               "probability is below P; -1 = off"},
+              &Options::expect_miss_below, -1, 1)
+        .toggle({"--expect-bounded", "", "", "",
+                 "validate: exit 1 if any simulated quantile\n"
+                 "exceeds its analytic bound"},
+                &Options::expect_bounded, true);
+    return t;
+  }();
+  return join({check_sweep_options().bind(opt.sweep, {"--protocol"}),
+               run_options().bind(opt.run, {"--json"}), {kernel_option()},
+               tool.bind(opt)});
 }
 
-bool parse_args(int argc, char** argv, Options& opt) {
-  std::vector<std::string> rest;
-  std::string error;
-  if (!parse_sweep_args(argc, argv, opt.sweep, rest, error)) {
-    std::fprintf(stderr, "mcan-rta: %s\n", error.c_str());
-    return false;
-  }
-  bool command_set = false;
-  for (std::size_t i = 0; i < rest.size(); ++i) {
-    const std::string& a = rest[i];
-    auto value = [&](const char* flag) -> const std::string* {
-      if (i + 1 >= rest.size()) {
-        std::fprintf(stderr, "mcan-rta: %s needs a value\n", flag);
-        return nullptr;
-      }
-      return &rest[++i];
-    };
-    if (a == "analyze" || a == "compare" || a == "validate") {
-      if (command_set) {
-        std::fprintf(stderr, "mcan-rta: more than one command\n");
-        return false;
-      }
-      opt.command = a;
-      command_set = true;
-    } else if (a == "--rates") {
-      const std::string* v = value("--rates");
-      if (v == nullptr) return false;
-      opt.rates_path = *v;
-    } else if (a == "--ber") {
-      const std::string* v = value("--ber");
-      if (v == nullptr) return false;
-      opt.ber = std::atof(v->c_str());
-      opt.ber_given = true;
-    } else if (a == "--period-scale") {
-      const std::string* v = value("--period-scale");
-      if (v == nullptr) return false;
-      opt.period_scale = std::atof(v->c_str());
-    } else if (a == "--max-retx") {
-      const std::string* v = value("--max-retx");
-      if (v == nullptr) return false;
-      opt.max_retx = std::atoi(v->c_str());
-    } else if (a == "--horizon") {
-      const std::string* v = value("--horizon");
-      if (v == nullptr) return false;
-      opt.horizon = static_cast<BitTime>(std::atoll(v->c_str()));
-    } else if (a == "--seed") {
-      const std::string* v = value("--seed");
-      if (v == nullptr) return false;
-      opt.seed = static_cast<std::uint64_t>(std::atoll(v->c_str()));
-    } else if (a == "--slack") {
-      const std::string* v = value("--slack");
-      if (v == nullptr) return false;
-      opt.slack = static_cast<BitTime>(std::atoll(v->c_str()));
-    } else if (a == "--expect-schedulable") {
-      opt.expect_schedulable = true;
-    } else if (a == "--expect-miss-below") {
-      const std::string* v = value("--expect-miss-below");
-      if (v == nullptr) return false;
-      opt.expect_miss_below = std::atof(v->c_str());
-    } else if (a == "--expect-bounded") {
-      opt.expect_bounded = true;
-    } else if (a == "-h" || a == "--help") {
-      usage(stdout);
-      std::exit(0);
-    } else {
-      std::fprintf(stderr, "mcan-rta: unknown option %s\n", a.c_str());
-      return false;
-    }
-  }
-  return true;
-}
+constexpr const char* kUsage =
+    "usage: mcan-rta [analyze|compare|validate] [options]\n"
+    "\n"
+    "Probabilistic schedulability analysis of a periodic CAN message\n"
+    "set: deterministic Tindell/Davis response-time bounds, plus\n"
+    "response-time distributions and deadline-miss probabilities under\n"
+    "the per-variant error model (docs/RTA.md).\n"
+    "\n"
+    "commands:\n"
+    "  analyze    one protocol (the first --protocol; default: can)\n"
+    "  compare    every protocol of the sweep set side by side\n"
+    "  validate   analysis vs. bit-level simulation with injected faults\n";
 
 MeasuredRates resolve_rates(const Options& opt) {
   MeasuredRates rates;
@@ -170,7 +114,7 @@ MeasuredRates resolve_rates(const Options& opt) {
     throw std::runtime_error("mcan-rta: " + error);
   }
   rates = table.rates_for(opt.ber);
-  if (opt.ber_given && rates.ber != opt.ber) {
+  if (rates.ber != opt.ber) {
     std::fprintf(stderr,
                  "mcan-rta: using measured row ber=%s (nearest to "
                  "requested %s)\n",
@@ -238,8 +182,21 @@ int apply_gates(const Options& opt, const std::vector<ProbRtaResult>& results,
 
 int main(int argc, char** argv) {
   Options opt;
-  if (!parse_args(argc, argv, opt)) {
-    usage(stderr);
+  std::vector<std::string> positional;
+  if (const int rc = parse_flags("mcan-rta", argc, argv, bind_options(opt),
+                                 kUsage, &positional);
+      rc >= 0) {
+    return rc;
+  }
+  if (positional.size() > 1) {
+    std::fprintf(stderr, "mcan-rta: more than one command (see --help)\n");
+    return 2;
+  }
+  if (!positional.empty()) opt.command = positional.front();
+  if (opt.command != "analyze" && opt.command != "compare" &&
+      opt.command != "validate") {
+    std::fprintf(stderr, "mcan-rta: unknown command %s (see --help)\n",
+                 opt.command.c_str());
     return 2;
   }
   try {
@@ -289,13 +246,13 @@ int main(int argc, char** argv) {
     }
     json += "\n]}\n";
 
-    if (!opt.sweep.json.empty()) {
-      if (!write_text_file(opt.sweep.json, json)) {
+    if (!opt.run.json.empty()) {
+      if (!write_text_file(opt.run.json, json)) {
         std::fprintf(stderr, "mcan-rta: cannot write %s\n",
-                     opt.sweep.json.c_str());
+                     opt.run.json.c_str());
         return 2;
       }
-      std::printf("json written to %s\n", opt.sweep.json.c_str());
+      std::printf("json written to %s\n", opt.run.json.c_str());
     }
     return apply_gates(opt, results, bounded_ok);
   } catch (const std::exception& e) {

@@ -11,13 +11,18 @@
 #include "fault/scripted.hpp"
 #include "scenario/exhaustive.hpp"
 #include "scenario/probe.hpp"
+#include "util/options.hpp"
 
 int main(int argc, char** argv) {
   using namespace mcan;
 
   const std::string variant = argc > 1 ? argv[1] : "can";
-  const int k = argc > 2 ? std::atoi(argv[2]) : 2;
-  const int m = argc > 3 ? std::atoi(argv[3]) : 5;
+  int k = 2;
+  int m = 5;
+  if (!positional_number("replay_counterexample", argc, argv, 2, 1, 16, k) ||
+      !positional_number("replay_counterexample", argc, argv, 3, 3, 31, m)) {
+    return 1;
+  }
 
   ProtocolParams proto;
   if (variant == "can") {

@@ -14,6 +14,7 @@
 
 #include "scenario/dsl.hpp"
 #include "scenario/figures.hpp"
+#include "util/options.hpp"
 
 namespace {
 
@@ -30,7 +31,11 @@ void usage() {
 int main(int argc, char** argv) {
   const std::string scenario = argc > 1 ? argv[1] : "fig3";
   const std::string variant = argc > 2 ? argv[2] : "can";
-  const int m = argc > 3 ? std::atoi(argv[3]) : 5;
+  int m = 5;
+  if (scenario != "run" &&
+      !positional_number("trace_explorer", argc, argv, 3, 3, 31, m)) {
+    return 1;
+  }
 
   if (scenario == "run") {
     if (argc < 3) {

@@ -4,19 +4,22 @@
 // usage: tune_m [ber] [nodes] [frame_bits] [target_per_hour]
 // defaults: the paper's reference bus and the 1e-9/h aerospace target.
 #include <cstdio>
-#include <cstdlib>
 
 #include "analysis/tuning.hpp"
+#include "util/options.hpp"
 #include "util/text.hpp"
 
 int main(int argc, char** argv) {
   using namespace mcan;
 
-  ModelParams p;
-  p.ber = argc > 1 ? std::atof(argv[1]) : 1e-5;
-  p.n_nodes = argc > 2 ? std::atoi(argv[2]) : 32;
-  p.frame_bits = argc > 3 ? std::atoi(argv[3]) : 110;
-  const double target = argc > 4 ? std::atof(argv[4]) : 1e-9;
+  ModelParams p;  // defaults: the paper's reference bus
+  double target = 1e-9;
+  if (!positional_number("tune_m", argc, argv, 1, 0.0, 1.0, p.ber) ||
+      !positional_number("tune_m", argc, argv, 2, 2, 100000, p.n_nodes) ||
+      !positional_number("tune_m", argc, argv, 3, 1, 100000, p.frame_bits) ||
+      !positional_number("tune_m", argc, argv, 4, 0.0, 1.0, target)) {
+    return 2;
+  }
 
   std::printf("=== MajorCAN m selection ===\n");
   std::printf("bus: N=%d, tau=%d bits, ber=%s (ber*=%s), %.0f frames/hour\n",

@@ -1,5 +1,6 @@
 #include "core/protocol.hpp"
 
+#include <charconv>
 #include <stdexcept>
 
 #include "frame/layout.hpp"
@@ -73,6 +74,41 @@ std::string ProtocolParams::name() const {
     return "MajorCAN_" + std::to_string(m);
   }
   return variant_name(variant);
+}
+
+ProtocolParams parse_protocol_arg(const std::string& token) {
+  if (token == "can" || token == "standard") {
+    return ProtocolParams::standard_can();
+  }
+  if (token == "minor") return ProtocolParams::minor_can();
+  if (token == "major") return ProtocolParams::major_can(3);
+  if (token.rfind("major:", 0) == 0) {
+    const char* first = token.data() + 6;
+    const char* last = token.data() + token.size();
+    int m = 0;
+    const auto [end, ec] = std::from_chars(first, last, m);
+    if (ec != std::errc() || end != last || m < 3 || m > 31) {
+      throw std::invalid_argument("bad MajorCAN order in '" + token +
+                                  "' (want major:<m>, m in [3, 31])");
+    }
+    return ProtocolParams::major_can(m);
+  }
+  throw std::invalid_argument("unknown protocol '" + token +
+                              "' (want can|minor|major|major:<m>)");
+}
+
+std::string protocol_token(const ProtocolParams& p) {
+  switch (p.variant) {
+    case Variant::StandardCan: return "can";
+    case Variant::MinorCan: return "minor";
+    case Variant::MajorCan: return "major:" + std::to_string(p.m);
+  }
+  return "can";
+}
+
+std::vector<ProtocolParams> default_protocol_set() {
+  return {ProtocolParams::standard_can(), ProtocolParams::minor_can(),
+          ProtocolParams::major_can(3), ProtocolParams::major_can(5)};
 }
 
 }  // namespace mcan

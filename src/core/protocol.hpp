@@ -23,6 +23,7 @@
 #pragma once
 
 #include <string>
+#include <vector>
 
 namespace mcan {
 
@@ -147,5 +148,19 @@ struct ProtocolParams {
 
   [[nodiscard]] bool operator==(const ProtocolParams&) const = default;
 };
+
+// --- the protocol token every command-line flag and job spec uses ---
+
+/// Parse a protocol token: "can" (or "standard"), "minor", "major" (m = 3)
+/// or "major:<m>" with m in [3, 31] (ProtocolParams::validate() needs
+/// m >= 3).  Throws std::invalid_argument on anything else.
+[[nodiscard]] ProtocolParams parse_protocol_arg(const std::string& token);
+
+/// The canonical token for `p` ("can", "minor", "major:<m>"): the inverse
+/// of parse_protocol_arg, used to render job specs and fingerprints.
+[[nodiscard]] std::string protocol_token(const ProtocolParams& p);
+
+/// The default sweep set: CAN, MinorCAN, MajorCAN_3, MajorCAN_5.
+[[nodiscard]] std::vector<ProtocolParams> default_protocol_set();
 
 }  // namespace mcan

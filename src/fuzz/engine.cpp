@@ -1,7 +1,9 @@
 #include "fuzz/engine.hpp"
 
 #include <algorithm>
+#include <climits>
 
+#include "rsm/cluster.hpp"
 #include "util/parallel.hpp"
 #include "util/text.hpp"
 
@@ -165,6 +167,125 @@ std::string fuzz_stats_json(const FuzzStats& st, const ProtocolParams& protocol,
   s += ",\"seconds\":" + json_number(st.elapsed_s);
   s += "}\n";
   return s;
+}
+
+const char* fuzz_kind_name(FuzzKind kind) {
+  switch (kind) {
+    case FuzzKind::Rsm: return "rsm";
+    case FuzzKind::Attack: return "attack";
+    case FuzzKind::Fuzz: break;
+  }
+  return "fuzz";
+}
+
+FuzzJob::FuzzJob(FuzzKind k) : kind(k) {
+  if (kind == FuzzKind::Rsm) cfg.workload.emplace();
+  if (kind == FuzzKind::Attack) cfg.bounds.max_attacks = 2;
+}
+
+void FuzzJob::resolve() {
+  if (envelope) cfg.bounds = cfg.bounds.envelope(cfg.protocol);
+  if (cfg.workload) {
+    cfg.workload = sanitize_rsm_workload(*cfg.workload, cfg.n_nodes);
+  }
+  cfg.protocol.validate();
+}
+
+std::string FuzzJob::fingerprint() const {
+  Json head = Json::object();
+  head.set("backend", Json(fuzz_kind_name(kind)));
+  return fuzz_options(kind).render(*this, std::move(head)).dump();
+}
+
+namespace {
+
+OptionTable<FuzzJob> make_fuzz_options(FuzzKind kind) {
+  OptionTable<FuzzJob> t;
+  if (kind == FuzzKind::Rsm) {
+    auto w = [](auto& j) -> auto& { return *j.cfg.workload; };
+    std::vector<std::string> links;
+    for (int i = 0; i < 4; ++i) {
+      links.emplace_back(rsm_link_name(static_cast<RsmLink>(i)));
+    }
+    t.integer({"--commands", "", "commands", "N",
+               "commands proposed round-robin"},
+              [w](auto& j) -> auto& { return w(j).commands; }, 1, 10)
+        .integer({"--payload", "", "payload", "N", "command payload bytes"},
+                 [w](auto& j) -> auto& { return w(j).payload; }, 1, 16)
+        .integer({"--rsm-k", "", "k", "N", "votes needed to commit"},
+                 [w](auto& j) -> auto& { return w(j).k; }, 1, 8)
+        .integer({"--spacing", "", "spacing", "BITS",
+                  "bits between proposals, 0 = back to back"},
+                 [w](auto& j) -> auto& { return w(j).spacing; }, 0, 10000)
+        .choice({"--link", "", "link", "L", "direct|edcan|relcan|totcan"},
+                [w](auto& j) -> auto& { return w(j).link; }, links)
+        .integer({"--crash-node", "", "crash", "N",
+                  "host to crash, -1 = none"},
+                 [w](auto& j) -> auto& { return w(j).crash_node; }, -1, 7)
+        .integer({"--crash-t", "", "crasht", "BITS", "host crash time"},
+                 [w](auto& j) -> auto& { return w(j).crash_t; }, 0, 100000)
+        .integer({"--recover-t", "", "recovert", "BITS",
+                  "rejoin time, 0 = stays down"},
+                 [w](auto& j) -> auto& { return w(j).recover_t; }, 0,
+                 150000);
+  }
+  t.token({"--protocol", "-p", "protocol", "P",
+           "target protocol: can|minor|major|major:<m>"},
+          [](auto& j) -> auto& { return j.cfg.protocol; }, parse_protocol_arg,
+          protocol_token)
+      .integer({"--nodes", "-n", "nodes", "N", "bus size"},
+               [](auto& j) -> auto& { return j.cfg.n_nodes; }, 2, 8)
+      .integer({"--seed", "", "seed", "N", "campaign seed"},
+               [](auto& j) -> auto& { return j.cfg.seed; }, 0, LLONG_MAX)
+      .integer({"--max-execs", "", "max_execs", "N", "execution budget"},
+               [](auto& j) -> auto& { return j.cfg.max_execs; }, 1,
+               LLONG_MAX)
+      .integer({"--batch", "", "batch", "N", "executions per round"},
+               [](auto& j) -> auto& { return j.cfg.batch; }, 1, 1000000)
+      .integer({"--minimize-every", "", "minimize_every", "N",
+                "corpus minimize period, in executions"},
+               [](auto& j) -> auto& { return j.cfg.minimize_every; }, 1,
+               LLONG_MAX)
+      .integer({"--max-flips", "", "max_flips", "N", "cap flips per input"},
+               [](auto& j) -> auto& { return j.cfg.bounds.max_flips; }, 1,
+               1000000)
+      .toggle({"--mutate-protocol", "", "mutate_protocol", "",
+               "let mutations drift the protocol variant/m"},
+              [](auto& j) -> auto& { return j.cfg.bounds.mutate_protocol; },
+              true)
+      .toggle({"--envelope", "", "envelope", "",
+               "cap disturbances at the protocol tolerance\n"
+               "(m for MajorCAN_m): the paper's <= m claim"},
+              &FuzzJob::envelope, true);
+  if (kind == FuzzKind::Attack) {
+    t.integer({"--attacks", "", "max_attacks", "N",
+               "attack directives per genome"},
+              [](auto& j) -> auto& { return j.cfg.bounds.max_attacks; }, 1, 16)
+        .integer({"--budget", "", "attack_budget", "N",
+                  "total glitch-flip budget per genome"},
+                 [](auto& j) -> auto& { return j.cfg.bounds.attack_budget; },
+                 1, 64)
+        .toggle({"--no-spoof", "", "allow_spoof", "",
+                 "disable the spoofed-ID attacker"},
+                [](auto& j) -> auto& { return j.cfg.bounds.allow_spoof; },
+                false)
+        .toggle({"--no-busoff", "", "allow_busoff", "",
+                 "disable the bus-off attacker"},
+                [](auto& j) -> auto& { return j.cfg.bounds.allow_busoff; },
+                false);
+  }
+  t.real({"--max-time", "", "", "S", "wall-clock budget in seconds, 0 = none"},
+         [](auto& j) -> auto& { return j.cfg.max_time_s; }, 0, 1e9);
+  return t;
+}
+
+}  // namespace
+
+const OptionTable<FuzzJob>& fuzz_options(FuzzKind kind) {
+  static const OptionTable<FuzzJob> tables[] = {
+      make_fuzz_options(FuzzKind::Fuzz), make_fuzz_options(FuzzKind::Rsm),
+      make_fuzz_options(FuzzKind::Attack)};
+  return tables[static_cast<int>(kind)];
 }
 
 }  // namespace mcan

@@ -30,6 +30,7 @@
 #include "fuzz/corpus.hpp"
 #include "fuzz/mutate.hpp"
 #include "fuzz/oracle.hpp"
+#include "util/options.hpp"
 
 namespace mcan {
 
@@ -163,6 +164,45 @@ class FuzzCampaign {
   std::uint64_t rounds_merged_ = 0;
   std::chrono::steady_clock::time_point t0_;
 };
+
+// ---------------------------------------------------------------------------
+// The fuzz engine's options, declared once for every front end: mcan-fuzz,
+// mcan-rsm fuzz and mcan-attack fuzz parse argv through them, mcan-client
+// builds job specs from them, and the serve backend decodes specs and
+// renders fingerprints through them.
+// ---------------------------------------------------------------------------
+
+/// The campaign kinds the engine runs: wire-level fuzzing, fuzzing with
+/// the consensus workload attached (FuzzConfig::workload), and fuzzing
+/// with the attack genome space open (FuzzBounds attack fields).
+enum class FuzzKind : std::uint8_t { Fuzz, Rsm, Attack };
+
+/// "fuzz", "rsm" or "attack": the job-spec backend name.
+[[nodiscard]] const char* fuzz_kind_name(FuzzKind kind);
+
+/// A campaign as command lines and job specs describe it: the engine
+/// config plus the --envelope switch.
+struct FuzzJob {
+  explicit FuzzJob(FuzzKind kind = FuzzKind::Fuzz);
+
+  FuzzKind kind;
+  FuzzConfig cfg;         ///< rsm: workload engaged; attack: 2 attackers
+  bool envelope = false;  ///< resolve() applies FuzzBounds::envelope
+
+  /// Apply the envelope, sanitize the workload against the bus size and
+  /// validate the protocol (throws std::invalid_argument).  Call once,
+  /// after the options are parsed or decoded.
+  void resolve();
+
+  /// {"backend": kind, then every key of fuzz_options(kind) as resolved}:
+  /// a journal only resumes into a job with an equal fingerprint.
+  [[nodiscard]] std::string fingerprint() const;
+};
+
+/// The options of `kind` in fingerprint order: the rsm workload keys
+/// (rsm only), the campaign keys, the attack keys (attack only), then
+/// the command-line-only --max-time.
+[[nodiscard]] const OptionTable<FuzzJob>& fuzz_options(FuzzKind kind);
 
 /// The campaign stats as a one-line JSON object — the exact shape the
 /// mcan-fuzz CLI writes for --stats-json and the serve fuzz backend

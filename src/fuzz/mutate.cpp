@@ -15,6 +15,15 @@ int fuzz_window_hi(const ProtocolParams& p) {
   return cfg.window_hi();
 }
 
+FuzzBounds FuzzBounds::envelope(const ProtocolParams& p) const {
+  FuzzBounds b = *this;
+  b.max_flips = p.variant == Variant::MajorCan ? p.m : 2;
+  b.allow_body = false;
+  b.allow_crash = false;
+  b.mutate_protocol = false;
+  return b;
+}
+
 int fuzz_body_bits(const ScenarioSpec& spec) {
   const Frame probe =
       make_tagged_frame(spec.frame_id, MsgKind::Data, MessageKey{0, 1},

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <sstream>
+#include <stdexcept>
 #include <utility>
 
 #include "rsm/runner.hpp"
@@ -82,6 +83,31 @@ int check_class_gate(const char* tool, std::uint32_t want,
     return 1;
   }
   return 0;
+}
+
+BoundOption expect_classes_option(std::optional<std::uint32_t>& want) {
+  using Want = std::optional<std::uint32_t>;
+  static const OptionTable<Want> table = [] {
+    OptionTable<Want> t;
+    t.token({"--expect-classes", "", "", "L",
+             "comma list of violation classes that must all\n"
+             "be found (none = require a clean campaign);\n"
+             "exit 1 otherwise"},
+            [](auto& w) -> auto& { return w; },
+            [](const std::string& csv) {
+              std::uint32_t mask = 0;
+              std::string error;
+              if (!parse_fuzz_classes(csv, mask, error)) {
+                throw std::invalid_argument(error);
+              }
+              return Want(mask);
+            },
+            [](const Want& w) {
+              return w ? fuzz_classes_to_string(*w) : std::string();
+            });
+    return t;
+  }();
+  return table.bind(want).front();
 }
 
 FuzzClass FuzzVerdict::primary() const {

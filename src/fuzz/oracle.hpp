@@ -14,10 +14,12 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 
 #include "fuzz/signature.hpp"
 #include "scenario/dsl.hpp"
+#include "util/options.hpp"
 
 namespace mcan {
 
@@ -70,6 +72,10 @@ inline constexpr int kFuzzClassCount = 14;
 /// returns 1.
 [[nodiscard]] int check_class_gate(const char* tool, std::uint32_t want,
                                    std::uint32_t found);
+
+/// The CLIs' `--expect-classes L` flag, writing its mask into `want`.
+[[nodiscard]] BoundOption expect_classes_option(
+    std::optional<std::uint32_t>& want);
 
 struct FuzzVerdict {
   std::uint32_t classes = 0;  ///< fuzz_class_bit() mask

@@ -1,6 +1,7 @@
 #include "rare/campaign.hpp"
 
 #include <chrono>
+#include <climits>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -430,6 +431,99 @@ std::string RareResult::to_json() const {
   os << "  \"seconds\": " << json_number(seconds) << "\n";
   os << "}\n";
   return os.str();
+}
+
+const OptionTable<RareConfig>& rare_options() {
+  static const OptionTable<RareConfig> table = [] {
+    OptionTable<RareConfig> t;
+    t.token({"--protocol", "-p", "protocol", "P",
+             "protocol: can|minor|major|major:<m>"},
+            &RareConfig::protocol, parse_protocol_arg, protocol_token)
+        .integer({"--nodes", "-n", "nodes", "N", "bus size"},
+                 &RareConfig::n_nodes, 2, 256)
+        .real({"--ber", "", "ber", "X", "network bit error rate"},
+              &RareConfig::ber, 0, 1)
+        .choice({"--mode", "", "mode", "M", "naive|importance|splitting"},
+                &RareConfig::mode, {"naive", "importance", "splitting"})
+        .integer({"--seed", "", "seed", "S", "campaign seed"},
+                 &RareConfig::seed, 0, LLONG_MAX)
+        .integer({"--trials", "", "trials", "N", "Monte-Carlo trials"},
+                 &RareConfig::trials, 1, LLONG_MAX)
+        .integer({"--batch", "", "batch", "N", "trials per merge round"},
+                 &RareConfig::batch, 1, 1000000)
+        .integer({"--quiet", "", "", "N",
+                  "per-trial quiescence budget in bits"},
+                 &RareConfig::quiet_budget, 1, LLONG_MAX)
+        .text({"--journal", "", "", "FILE", "checkpoint journal (resumable)"},
+              &RareConfig::journal)
+        .integer({"--checkpoint-every", "", "", "N",
+                  "trials between snapshots"},
+                 &RareConfig::checkpoint_every, 1, LLONG_MAX)
+        .real({"--window-q", "", "", "X",
+               "proposal flip rate inside the window"},
+              [](auto& c) -> auto& { return c.bias.window_q; }, 0, 1)
+        .real({"--tx-hot-q", "", "", "X",
+               "proposal rate at the transmitter hotspot bits"},
+              [](auto& c) -> auto& { return c.bias.tx_hot_q; }, 0, 1)
+        .real({"--rx-hot-q", "", "", "X",
+               "proposal rate at the receiver hotspot bits"},
+              [](auto& c) -> auto& { return c.bias.rx_hot_q; }, 0, 1)
+        .integer({"--factor", "", "", "N", "splitting factor per level"},
+                 [](auto& c) -> auto& { return c.split.factor; }, 1, 1000)
+        .integer({"--max-particles", "", "", "N", "per-trial particle cap"},
+                 [](auto& c) -> auto& { return c.split.max_particles; }, 1,
+                 1000000);
+    return t;
+  }();
+  return table;
+}
+
+const OptionTable<RareGate>& rare_gate_options() {
+  static const OptionTable<RareGate> table = [] {
+    OptionTable<RareGate> t;
+    t.real({"--expect-within", "", "", "X",
+            "exit 1 unless the estimate is within a factor\n"
+            "X of expression (4), CI-aware; 0 = off"},
+           &RareGate::within, 0, 1e300)
+        .real({"--expect-rel-ci", "", "", "X",
+               "exit 1 unless rel. CI half-width <= X; 0 = off"},
+              &RareGate::rel_ci, 0, 1e300);
+    return t;
+  }();
+  return table;
+}
+
+int check_rare_gate(const char* tool, const RareGate& gate,
+                    const RareEstimate& imo, double p4) {
+  int rc = 0;
+  if (gate.rel_ci > 0 && (imo.hits == 0 || imo.rel_halfwidth > gate.rel_ci)) {
+    std::fprintf(stderr,
+                 "%s: FAIL relative CI half-width %.2f > %.2f (hits=%lld)\n",
+                 tool, imo.rel_halfwidth, gate.rel_ci, imo.hits);
+    rc = 1;
+  }
+  if (gate.within > 0 &&
+      !(p4 > 0 && imo.ci_hi >= p4 / gate.within &&
+        imo.ci_lo <= p4 * gate.within)) {
+    std::fprintf(stderr,
+                 "%s: FAIL estimate [%.3e, %.3e] not within %.1fx of "
+                 "expression (4) = %.3e\n",
+                 tool, imo.ci_lo, imo.ci_hi, gate.within, p4);
+    rc = 1;
+  }
+  return rc;
+}
+
+bool rare_gate_inputs(const Json& result, RareEstimate& imo, double& p4) {
+  const Json* est = result.find("imo");
+  if (est == nullptr || !est->is_object()) return false;
+  const auto number = [](const Json* j) { return j ? j->as_double() : 0.0; };
+  imo.ci_lo = number(est->find("ci_lo"));
+  imo.ci_hi = number(est->find("ci_hi"));
+  imo.rel_halfwidth = number(est->find("rel_halfwidth"));
+  imo.hits = est->find("hits") ? est->find("hits")->as_int() : 0;
+  p4 = number(result.find("closed_form_p4"));
+  return true;
 }
 
 }  // namespace mcan

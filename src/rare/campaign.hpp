@@ -28,6 +28,8 @@
 #include "analysis/stats.hpp"
 #include "rare/splitting.hpp"
 #include "rare/trial.hpp"
+#include "util/json.hpp"
+#include "util/options.hpp"
 
 namespace mcan {
 
@@ -174,6 +176,36 @@ class RareCampaign {
   RareAccumulator dup_;
   long long timeouts_ = 0;
 };
+
+/// The engine's options, declared once: mcan-rare parses argv through
+/// them, mcan-client builds "rare" job specs from the keyed ones, and the
+/// serve backend decodes specs through them.  The bus size defaults to
+/// RareConfig's 32, the Table-1 bus.
+[[nodiscard]] const OptionTable<RareConfig>& rare_options();
+
+/// The rare-event CI gates of mcan-rare and mcan-client.
+struct RareGate {
+  double within = 0;  ///< --expect-within X; 0 = off
+  double rel_ci = 0;  ///< --expect-rel-ci X; 0 = off
+};
+
+/// --expect-within and --expect-rel-ci.
+[[nodiscard]] const OptionTable<RareGate>& rare_gate_options();
+
+/// Check `gate` against the IMO estimate `imo` and expression (4) = `p4`.
+/// --expect-within is CI-aware: it holds if any point of [ci_lo, ci_hi]
+/// lies within a factor X of p4.  --expect-rel-ci holds if the estimate
+/// has hits and its relative CI half-width is at most X.  Returns 0 when
+/// every active gate holds; otherwise prints "<tool>: FAIL ..." to stderr
+/// and returns 1.
+[[nodiscard]] int check_rare_gate(const char* tool, const RareGate& gate,
+                                  const RareEstimate& imo, double p4);
+
+/// The gate's inputs read back from RareResult::to_json() output: the
+/// "imo" estimate and "closed_form_p4".  False when there is no "imo"
+/// object.
+[[nodiscard]] bool rare_gate_inputs(const Json& result, RareEstimate& imo,
+                                    double& p4);
 
 /// Run (or resume) a campaign.  If cfg.journal names an existing file, the
 /// last snapshot is restored — its fingerprint must match — and the run

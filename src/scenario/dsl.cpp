@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <set>
@@ -323,6 +324,23 @@ ScenarioSpec load_scenario_file(const std::string& path) {
   ScenarioSpec spec = parse_scenario(buf.str());
   if (spec.name.empty()) spec.name = path;
   return spec;
+}
+
+std::vector<std::string> scenario_files(const std::vector<std::string>& paths) {
+  std::vector<std::string> files;
+  for (const std::string& path : paths) {
+    if (!std::filesystem::is_directory(path)) {
+      files.push_back(path);
+      continue;
+    }
+    std::vector<std::string> found;
+    for (const auto& e : std::filesystem::directory_iterator(path)) {
+      if (e.path().extension() == ".scn") found.push_back(e.path().string());
+    }
+    std::sort(found.begin(), found.end());
+    files.insert(files.end(), found.begin(), found.end());
+  }
+  return files;
 }
 
 DslRunResult run_scenario(const ScenarioSpec& spec,

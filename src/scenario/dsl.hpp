@@ -101,6 +101,11 @@ struct ScenarioSpec {
 /// Load and parse a scenario file.
 [[nodiscard]] ScenarioSpec load_scenario_file(const std::string& path);
 
+/// Command-line inputs as scenario files: each directory contributes its
+/// *.scn files in name order, anything else is taken as a file.
+[[nodiscard]] std::vector<std::string> scenario_files(
+    const std::vector<std::string>& paths);
+
 /// Presentation options for write_scenario: free-text comment lines for
 /// the file header and per-flip trailing comments (both without the
 /// leading "# "; entries beyond spec.flips.size() are ignored).

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <climits>
 #include <memory>
 #include <stdexcept>
 
@@ -323,6 +324,55 @@ FlipCaseResult run_flip_case(const ProtocolParams& protocol, int n_nodes,
       classify_probe(end.deliveries, end.tx_success > 0, !end.quiet), {}};
   res.describe = describe_probe(res, end.deliveries);
   return res;
+}
+
+std::vector<ProtocolParams> CheckSweep::protocol_set() const {
+  return protocols.empty() ? default_protocol_set() : protocols;
+}
+
+ProtocolParams CheckSweep::single_protocol() const {
+  if (protocols.size() > 1) {
+    throw std::invalid_argument(
+        "this command targets one protocol; give --protocol once");
+  }
+  return protocols.empty() ? ProtocolParams::standard_can() : protocols[0];
+}
+
+ModelCheckConfig CheckSweep::unit(const ProtocolParams& p, int k) const {
+  ModelCheckConfig mc;
+  mc.base.protocol = p;
+  mc.base.n_nodes = nodes;
+  mc.base.errors = k;
+  mc.dedup = dedup;
+  mc.symmetry = symmetry;
+  mc.max_cases = budget;
+  return mc;
+}
+
+const OptionTable<CheckSweep>& check_sweep_options() {
+  static const OptionTable<CheckSweep> table = [] {
+    OptionTable<CheckSweep> t;
+    t.tokens({"--protocol", "-p", "protocols", "P",
+              "sweep protocol P: can|minor|major|major:<m>\n"
+              "(repeatable; default: can minor major:3 major:5)"},
+             &CheckSweep::protocols, parse_protocol_arg, protocol_token)
+        .integer({"--errors", "-k", "max_k", "N",
+                  "error budget; sweeps run k = 1..N"},
+                 &CheckSweep::max_k, 1, 64)
+        .integer({"--nodes", "-n", "nodes", "N", "bus size"},
+                 &CheckSweep::nodes, 2, 16)
+        .integer({"--budget", "", "budget", "N",
+                  "stop each sweep after N cases, 0 = exhaustive"},
+                 &CheckSweep::budget, 0, LLONG_MAX)
+        .toggle({"--no-dedup", "", "dedup", "",
+                 "disable tail memoization + prefix cloning"},
+                &CheckSweep::dedup, false)
+        .toggle({"--no-symmetry", "", "symmetry", "",
+                 "disable receiver-permutation reduction"},
+                &CheckSweep::symmetry, false);
+    return t;
+  }();
+  return table;
 }
 
 }  // namespace mcan

@@ -43,6 +43,7 @@
 
 #include "scenario/exhaustive.hpp"
 #include "scenario/probe.hpp"
+#include "util/options.hpp"
 
 namespace mcan {
 
@@ -78,6 +79,38 @@ using CheckProgressFn = std::function<void(long long, long long)>;
 
 [[nodiscard]] ModelCheckResult run_model_check(
     const ModelCheckConfig& cfg, const CheckProgressFn& progress = {});
+
+// ---------------------------------------------------------------------------
+// A sweep: every protocol of a set at k = 1..max_k — what mcan-check,
+// bench_model_check and the serve "check" backend run.  Its options are
+// declared once, in check_sweep_options().
+// ---------------------------------------------------------------------------
+
+struct CheckSweep {
+  std::vector<ProtocolParams> protocols;  ///< empty = default_protocol_set()
+  int max_k = 2;                          ///< sweep k = 1..max_k
+  int nodes = 3;
+  long long budget = 0;  ///< case cap per sweep (0 = exhaustive)
+  bool dedup = true;
+  bool symmetry = true;
+
+  /// The given protocols, or the default set.
+  [[nodiscard]] std::vector<ProtocolParams> protocol_set() const;
+
+  /// The one protocol a single-target command (a fuzz campaign, a run)
+  /// takes: the given one, or CAN.  Throws std::invalid_argument when
+  /// more than one was given.
+  [[nodiscard]] ProtocolParams single_protocol() const;
+
+  /// The engine config of one sweep unit; jobs, window and example count
+  /// stay at their ModelCheckConfig defaults.
+  [[nodiscard]] ModelCheckConfig unit(const ProtocolParams& p, int k) const;
+};
+
+/// The sweep options in job-spec order (the "check" fingerprint's):
+/// --protocol/-p (repeatable), --errors/-k, --nodes/-n, --budget,
+/// --no-dedup, --no-symmetry.
+[[nodiscard]] const OptionTable<CheckSweep>& check_sweep_options();
 
 // ---------------------------------------------------------------------------
 // Single-case execution (shared with the counterexample minimizer and

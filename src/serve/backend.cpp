@@ -7,46 +7,21 @@
 
 #include "fuzz/engine.hpp"
 #include "rare/campaign.hpp"
-#include "rsm/cluster.hpp"
 #include "scenario/model_check.hpp"
-#include "scenario/sweep_cli.hpp"
 
 namespace mcan {
 
 namespace {
 
-// --- spec field accessors (every field optional, engine defaults) --------
-
-long long spec_int(const Json& spec, const char* key, long long dflt) {
-  const Json* v = spec.find(key);
-  return v && v->is_number() ? v->as_int(dflt) : dflt;
-}
-
-double spec_double(const Json& spec, const char* key, double dflt) {
-  const Json* v = spec.find(key);
-  return v ? v->as_double(dflt) : dflt;
-}
-
-bool spec_bool(const Json& spec, const char* key, bool dflt) {
-  const Json* v = spec.find(key);
-  return v && v->type() == Json::Type::Bool ? v->as_bool(dflt) : dflt;
-}
-
-std::string spec_string(const Json& spec, const char* key,
-                        const std::string& dflt) {
-  const Json* v = spec.find(key);
-  return v && v->is_string() ? v->as_string() : dflt;
-}
-
-/// The spec token for a protocol — the inverse of parse_protocol_arg,
-/// used to render canonical specs.
-std::string protocol_token(const ProtocolParams& p) {
-  switch (p.variant) {
-    case Variant::StandardCan: return "can";
-    case Variant::MinorCan: return "minor";
-    case Variant::MajorCan: return "major:" + std::to_string(p.m);
+/// Apply `spec` (minus its "backend" member) to `obj` through the engine's
+/// option table: unknown keys, wrong types and out-of-range values are
+/// errors naming the key.
+template <class T>
+void decode_spec(const OptionTable<T>& table, const Json& spec, T& obj,
+                 const std::string& kind) {
+  if (std::string err = table.decode(spec, obj, "backend"); !err.empty()) {
+    throw std::invalid_argument(kind + " spec: " + err);
   }
-  return "can";
 }
 
 // --- fuzz / rsm -----------------------------------------------------------
@@ -61,119 +36,16 @@ std::string protocol_token(const ProtocolParams& p) {
 /// the rsm and attack directives are part of that text.
 class FuzzServeBackend final : public CampaignBackend {
  public:
-  enum class Mode { Fuzz, Rsm, Attack };
-
-  explicit FuzzServeBackend(const Json& spec, Mode mode = Mode::Fuzz)
-      : mode_(mode) {
-    cfg_.protocol = parse_protocol_arg(spec_string(spec, "protocol", "can"));
-    cfg_.n_nodes = static_cast<int>(spec_int(spec, "nodes", cfg_.n_nodes));
-    cfg_.seed = static_cast<std::uint64_t>(spec_int(
-        spec, "seed", static_cast<long long>(cfg_.seed)));
-    cfg_.max_execs = static_cast<std::uint64_t>(spec_int(
-        spec, "max_execs", static_cast<long long>(cfg_.max_execs)));
-    cfg_.batch = static_cast<int>(spec_int(spec, "batch", cfg_.batch));
-    cfg_.minimize_every = static_cast<std::uint64_t>(spec_int(
-        spec, "minimize_every", static_cast<long long>(cfg_.minimize_every)));
-    const int max_flips = static_cast<int>(spec_int(spec, "max_flips", 0));
-    if (max_flips > 0) cfg_.bounds.max_flips = max_flips;
-    cfg_.bounds.mutate_protocol =
-        spec_bool(spec, "mutate_protocol", cfg_.bounds.mutate_protocol);
-    envelope_ = spec_bool(spec, "envelope", false);
-    if (envelope_) {
-      // Mirror mcan-fuzz --envelope: the paper's <= m disturbance claim.
-      cfg_.bounds.max_flips = cfg_.protocol.variant == Variant::MajorCan
-                                  ? cfg_.protocol.m
-                                  : 2;
-      cfg_.bounds.allow_body = false;
-      cfg_.bounds.allow_crash = false;
-      cfg_.bounds.mutate_protocol = false;
-    }
-    if (mode_ == Mode::Attack) {
-      cfg_.bounds.max_attacks =
-          static_cast<int>(spec_int(spec, "max_attacks", 2));
-      cfg_.bounds.attack_budget =
-          static_cast<int>(spec_int(spec, "attack_budget", 4));
-      cfg_.bounds.allow_spoof = spec_bool(spec, "allow_spoof", true);
-      cfg_.bounds.allow_busoff = spec_bool(spec, "allow_busoff", true);
-      if (cfg_.bounds.max_attacks < 1 || cfg_.bounds.attack_budget < 1) {
-        throw std::invalid_argument(
-            "attack spec: max_attacks/attack_budget must be >= 1");
-      }
-    }
-    if (mode_ == Mode::Rsm) {
-      RsmWorkload w;
-      w.commands = static_cast<int>(spec_int(spec, "commands", w.commands));
-      w.payload = static_cast<int>(spec_int(spec, "payload", w.payload));
-      w.k = static_cast<int>(spec_int(spec, "k", w.k));
-      w.spacing = spec_int(spec, "spacing", w.spacing);
-      const std::string link = spec_string(spec, "link", "direct");
-      w.link = -1;
-      for (int i = 0; i < 4; ++i) {
-        if (link == rsm_link_name(static_cast<RsmLink>(i))) w.link = i;
-      }
-      if (w.link < 0) {
-        throw std::invalid_argument("rsm spec: unknown link \"" + link +
-                                    "\" (want direct|edcan|relcan|totcan)");
-      }
-      w.crash_node = static_cast<int>(spec_int(spec, "crash", -1));
-      w.crash_t = spec_int(spec, "crasht", 0);
-      w.recover_t = spec_int(spec, "recovert", 0);
-      if (cfg_.n_nodes > 8) {
-        throw std::invalid_argument("rsm spec: at most 8 nodes");
-      }
-      cfg_.workload = sanitize_rsm_workload(w, cfg_.n_nodes);
-    }
-    cfg_.protocol.validate();
-    if (cfg_.n_nodes < 2 || cfg_.max_execs == 0 || cfg_.batch < 1) {
-      throw std::invalid_argument(std::string(kind()) +
-                                  " spec: nodes/max_execs/batch invalid");
-    }
-    campaign_.emplace(cfg_);
+  explicit FuzzServeBackend(FuzzJob job) : job_(std::move(job)) {
+    campaign_.emplace(job_.cfg);
   }
 
   [[nodiscard]] const char* kind() const override {
-    switch (mode_) {
-      case Mode::Rsm: return "rsm";
-      case Mode::Attack: return "attack";
-      case Mode::Fuzz: break;
-    }
-    return "fuzz";
+    return fuzz_kind_name(job_.kind);
   }
 
   [[nodiscard]] std::string fingerprint() const override {
-    Json c = Json::object();
-    c.set("backend", Json(kind()));
-    if (cfg_.workload) {
-      const RsmWorkload& w = *cfg_.workload;
-      c.set("commands", Json(static_cast<long long>(w.commands)));
-      c.set("payload", Json(static_cast<long long>(w.payload)));
-      c.set("k", Json(static_cast<long long>(w.k)));
-      c.set("spacing", Json(static_cast<long long>(w.spacing)));
-      c.set("link",
-            Json(rsm_link_name(static_cast<RsmLink>(w.link))));
-      c.set("crash", Json(static_cast<long long>(w.crash_node)));
-      c.set("crasht", Json(static_cast<long long>(w.crash_t)));
-      c.set("recovert", Json(static_cast<long long>(w.recover_t)));
-    }
-    c.set("protocol", Json(protocol_token(cfg_.protocol)));
-    c.set("nodes", Json(static_cast<long long>(cfg_.n_nodes)));
-    c.set("seed", Json(static_cast<long long>(cfg_.seed)));
-    c.set("max_execs", Json(static_cast<long long>(cfg_.max_execs)));
-    c.set("batch", Json(static_cast<long long>(cfg_.batch)));
-    c.set("minimize_every",
-          Json(static_cast<long long>(cfg_.minimize_every)));
-    c.set("max_flips", Json(static_cast<long long>(cfg_.bounds.max_flips)));
-    c.set("mutate_protocol", Json(cfg_.bounds.mutate_protocol));
-    c.set("envelope", Json(envelope_));
-    if (mode_ == Mode::Attack) {
-      c.set("max_attacks",
-            Json(static_cast<long long>(cfg_.bounds.max_attacks)));
-      c.set("attack_budget",
-            Json(static_cast<long long>(cfg_.bounds.attack_budget)));
-      c.set("allow_spoof", Json(cfg_.bounds.allow_spoof));
-      c.set("allow_busoff", Json(cfg_.bounds.allow_busoff));
-    }
-    return c.dump();
+    return job_.fingerprint();
   }
 
   [[nodiscard]] std::size_t plan_round() override {
@@ -189,7 +61,7 @@ class FuzzServeBackend final : public CampaignBackend {
     return campaign_->exec_index();
   }
   [[nodiscard]] std::uint64_t units_total() const override {
-    return cfg_.max_execs;
+    return job_.cfg.max_execs;
   }
 
   [[nodiscard]] std::string checkpoint() const override {
@@ -244,13 +116,18 @@ class FuzzServeBackend final : public CampaignBackend {
         !acc || !acc->is_string() || !findings || !findings->is_array()) {
       return false;
     }
+    // Snapshot fields are our own checkpoint() bytes, not a job spec.
+    const auto num = [](const Json& o, const char* key, long long dflt = 0) {
+      const Json* v = o.find(key);
+      return v ? v->as_int(dflt) : dflt;
+    };
     FuzzStats st;
-    st.execs = static_cast<std::uint64_t>(spec_int(*stats, "execs", 0));
-    st.admitted = static_cast<std::uint64_t>(spec_int(*stats, "admitted", 0));
-    st.findings = static_cast<std::uint64_t>(spec_int(*stats, "findings", 0));
-    st.evicted = static_cast<std::uint64_t>(spec_int(*stats, "evicted", 0));
+    st.execs = static_cast<std::uint64_t>(num(*stats, "execs"));
+    st.admitted = static_cast<std::uint64_t>(num(*stats, "admitted"));
+    st.findings = static_cast<std::uint64_t>(num(*stats, "findings"));
+    st.evicted = static_cast<std::uint64_t>(num(*stats, "evicted"));
     st.classes_seen =
-        static_cast<std::uint32_t>(spec_int(*stats, "classes", 0));
+        static_cast<std::uint32_t>(num(*stats, "classes"));
     Signature accumulated;
     if (!Signature::from_hex(acc->as_string(), accumulated)) return false;
     try {
@@ -264,8 +141,8 @@ class FuzzServeBackend final : public CampaignBackend {
         CorpusEntry entry;
         entry.spec = parse_scenario(scn->as_string());
         if (!Signature::from_hex(sig->as_string(), entry.sig)) return false;
-        entry.exec_index = static_cast<std::uint64_t>(spec_int(e, "exec", 0));
-        entry.energy = static_cast<int>(spec_int(e, "energy", 1));
+        entry.exec_index = static_cast<std::uint64_t>(num(e, "exec"));
+        entry.energy = static_cast<int>(num(e, "energy", 1));
         entries.push_back(std::move(entry));
       }
       std::vector<FuzzFinding> found;
@@ -278,17 +155,20 @@ class FuzzServeBackend final : public CampaignBackend {
         FuzzFinding finding;
         finding.spec = parse_scenario(scn->as_string());
         finding.verdict.classes =
-            static_cast<std::uint32_t>(spec_int(f, "classes", 0));
+            static_cast<std::uint32_t>(num(f, "classes"));
         if (!Signature::from_hex(sig->as_string(), finding.verdict.sig)) {
           return false;
         }
-        finding.verdict.detail = spec_string(f, "detail", "");
-        finding.exec_index = static_cast<std::uint64_t>(spec_int(f, "exec", 0));
+        const Json* detail = f.find("detail");
+        if (detail && detail->is_string()) {
+          finding.verdict.detail = detail->as_string();
+        }
+        finding.exec_index = static_cast<std::uint64_t>(num(f, "exec"));
         found.push_back(std::move(finding));
       }
       campaign_->restore_state(
-          static_cast<std::uint64_t>(spec_int(j, "exec_index", 0)),
-          static_cast<std::uint64_t>(spec_int(j, "next_minimize", 0)), st,
+          static_cast<std::uint64_t>(num(j, "exec_index")),
+          static_cast<std::uint64_t>(num(j, "next_minimize")), st,
           std::move(entries), accumulated, std::move(found));
     } catch (const std::exception&) {
       return false;  // malformed .scn text inside the snapshot
@@ -299,39 +179,20 @@ class FuzzServeBackend final : public CampaignBackend {
   [[nodiscard]] std::string result_json() override {
     FuzzResult res = campaign_->take_result();
     res.stats.elapsed_s = 0;  // deterministic result bytes; see backend.hpp
-    return fuzz_stats_json(res.stats, cfg_.protocol, cfg_.n_nodes, cfg_.seed);
+    return fuzz_stats_json(res.stats, job_.cfg.protocol, job_.cfg.n_nodes,
+                           job_.cfg.seed);
   }
 
  private:
-  FuzzConfig cfg_;
-  Mode mode_ = Mode::Fuzz;
-  bool envelope_ = false;
+  FuzzJob job_;
   std::optional<FuzzCampaign> campaign_;
 };
 
 // --- rare -----------------------------------------------------------------
 
-RareMode parse_rare_mode(const std::string& s) {
-  if (s == "naive") return RareMode::kNaive;
-  if (s == "importance") return RareMode::kImportance;
-  if (s == "splitting") return RareMode::kSplitting;
-  throw std::invalid_argument("rare spec: unknown mode \"" + s + "\"");
-}
-
 class RareServeBackend final : public CampaignBackend {
  public:
-  explicit RareServeBackend(const Json& spec) {
-    RareConfig cfg;
-    cfg.protocol = parse_protocol_arg(spec_string(spec, "protocol", "can"));
-    cfg.n_nodes = static_cast<int>(spec_int(spec, "nodes", cfg.n_nodes));
-    cfg.ber = spec_double(spec, "ber", cfg.ber);
-    cfg.mode = parse_rare_mode(spec_string(spec, "mode", "importance"));
-    cfg.seed = static_cast<std::uint64_t>(
-        spec_int(spec, "seed", static_cast<long long>(cfg.seed)));
-    cfg.trials = spec_int(spec, "trials", cfg.trials);
-    cfg.batch = static_cast<int>(spec_int(spec, "batch", cfg.batch));
-    // The serve journal owns checkpointing; the engine's own journal off.
-    cfg.journal.clear();
+  explicit RareServeBackend(const RareConfig& cfg) {
     campaign_.emplace(cfg);  // validates, resolves bias
   }
 
@@ -385,27 +246,10 @@ class RareServeBackend final : public CampaignBackend {
 
 class CheckServeBackend final : public CampaignBackend {
  public:
-  explicit CheckServeBackend(const Json& spec) {
-    std::vector<ProtocolParams> protocols;
-    if (const Json* list = spec.find("protocols");
-        list && list->is_array() && !list->items().empty()) {
-      for (const Json& tok : list->items()) {
-        if (!tok.is_string()) {
-          throw std::invalid_argument("check spec: protocols must be strings");
-        }
-        protocols.push_back(parse_protocol_arg(tok.as_string()));
-      }
-    } else {
-      protocols = default_protocol_set();
-    }
-    max_k_ = static_cast<int>(spec_int(spec, "max_k", 2));
-    nodes_ = static_cast<int>(spec_int(spec, "nodes", 3));
-    budget_ = spec_int(spec, "budget", 0);
-    dedup_ = spec_bool(spec, "dedup", true);
-    symmetry_ = spec_bool(spec, "symmetry", true);
-    if (max_k_ < 1) throw std::invalid_argument("check spec: max_k < 1");
-    for (const ProtocolParams& p : protocols) {
-      for (int k = 1; k <= max_k_; ++k) {
+  explicit CheckServeBackend(CheckSweep sweep) : sweep_(std::move(sweep)) {
+    sweep_.protocols = sweep_.protocol_set();  // the fingerprint lists them
+    for (const ProtocolParams& p : sweep_.protocols) {
+      for (int k = 1; k <= sweep_.max_k; ++k) {
         unit_config(p, k).validate();  // throw before any work
         units_.push_back({p, k});
       }
@@ -416,19 +260,9 @@ class CheckServeBackend final : public CampaignBackend {
   [[nodiscard]] const char* kind() const override { return "check"; }
 
   [[nodiscard]] std::string fingerprint() const override {
-    Json c = Json::object();
-    c.set("backend", Json("check"));
-    Json protos = Json::array();
-    for (const Unit& u : units_) {
-      if (u.k == 1) protos.push(Json(protocol_token(u.protocol)));
-    }
-    c.set("protocols", std::move(protos));
-    c.set("max_k", Json(static_cast<long long>(max_k_)));
-    c.set("nodes", Json(static_cast<long long>(nodes_)));
-    c.set("budget", Json(budget_));
-    c.set("dedup", Json(dedup_));
-    c.set("symmetry", Json(symmetry_));
-    return c.dump();
+    Json head = Json::object();
+    head.set("backend", Json("check"));
+    return check_sweep_options().render(sweep_, std::move(head)).dump();
   }
 
   [[nodiscard]] std::size_t plan_round() override {
@@ -500,26 +334,16 @@ class CheckServeBackend final : public CampaignBackend {
 
   [[nodiscard]] ModelCheckConfig unit_config(const ProtocolParams& p,
                                              int k) const {
-    ModelCheckConfig cfg;
-    cfg.base.protocol = p;
-    cfg.base.n_nodes = nodes_;
-    cfg.base.errors = k;
+    ModelCheckConfig cfg = sweep_.unit(p, k);
     cfg.jobs = 1;  // the serve worker fleet is the parallelism
-    cfg.dedup = dedup_;
-    cfg.symmetry = symmetry_;
-    cfg.max_cases = budget_;
     return cfg;
   }
 
+  CheckSweep sweep_;
   std::vector<Unit> units_;
   std::vector<Outcome> slots_;
   std::size_t done_ = 0;
   bool planned_ = false;
-  long long budget_ = 0;
-  bool dedup_ = true;
-  bool symmetry_ = true;
-  int nodes_ = 3;
-  int max_k_ = 2;
 };
 
 }  // namespace
@@ -530,19 +354,27 @@ std::unique_ptr<CampaignBackend> make_backend(const Json& spec,
     error = "job spec must be a JSON object";
     return nullptr;
   }
-  const std::string kind = spec_string(spec, "backend", "");
+  const Json* backend = spec.find("backend");
+  const std::string kind =
+      backend && backend->is_string() ? backend->as_string() : "";
   try {
-    if (kind == "fuzz") return std::make_unique<FuzzServeBackend>(spec);
-    if (kind == "rsm") {
-      return std::make_unique<FuzzServeBackend>(spec,
-                                                FuzzServeBackend::Mode::Rsm);
+    for (const FuzzKind k : {FuzzKind::Fuzz, FuzzKind::Rsm, FuzzKind::Attack}) {
+      if (kind != fuzz_kind_name(k)) continue;
+      FuzzJob job(k);
+      decode_spec(fuzz_options(k), spec, job, kind);
+      job.resolve();
+      return std::make_unique<FuzzServeBackend>(std::move(job));
     }
-    if (kind == "attack") {
-      return std::make_unique<FuzzServeBackend>(
-          spec, FuzzServeBackend::Mode::Attack);
+    if (kind == "rare") {
+      RareConfig cfg;
+      decode_spec(rare_options(), spec, cfg, kind);
+      return std::make_unique<RareServeBackend>(cfg);
     }
-    if (kind == "rare") return std::make_unique<RareServeBackend>(spec);
-    if (kind == "check") return std::make_unique<CheckServeBackend>(spec);
+    if (kind == "check") {
+      CheckSweep sweep;
+      decode_spec(check_sweep_options(), spec, sweep, kind);
+      return std::make_unique<CheckServeBackend>(std::move(sweep));
+    }
   } catch (const std::exception& e) {
     error = e.what();
     return nullptr;
@@ -550,6 +382,25 @@ std::unique_ptr<CampaignBackend> make_backend(const Json& spec,
   error = kind.empty() ? "job spec: missing \"backend\" field"
                        : "job spec: unknown backend \"" + kind + "\"";
   return nullptr;
+}
+
+const std::vector<std::string>& backend_kinds() {
+  static const std::vector<std::string> kinds = {"fuzz", "rsm", "attack",
+                                                 "rare", "check"};
+  return kinds;
+}
+
+BoundOptions spec_options(const std::string& kind, Json& spec) {
+  for (const FuzzKind k : {FuzzKind::Fuzz, FuzzKind::Rsm, FuzzKind::Attack}) {
+    if (kind == fuzz_kind_name(k)) {
+      return fuzz_options(k).bind_spec(spec, FuzzJob(k));
+    }
+  }
+  if (kind == "rare") return rare_options().bind_spec(spec, RareConfig{});
+  if (kind == "check") {
+    return check_sweep_options().bind_spec(spec, CheckSweep{});
+  }
+  return {};
 }
 
 }  // namespace mcan

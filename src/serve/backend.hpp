@@ -27,8 +27,10 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "serve/proto.hpp"
+#include "util/options.hpp"
 
 namespace mcan {
 
@@ -80,7 +82,7 @@ class CampaignBackend {
 ///
 ///   {"backend": "fuzz",  "protocol": "major:5", "nodes": 3, "seed": 1,
 ///    "max_execs": 2000, "batch": 64, "minimize_every": 2048,
-///    "envelope": false, "max_flips": 0, "mutate_protocol": false}
+///    "envelope": false, "max_flips": 8, "mutate_protocol": false}
 ///   {"backend": "attack", "protocol": "major:5", "nodes": 3, "seed": 1,
 ///    "max_execs": 2000, "max_attacks": 2, "attack_budget": 4,
 ///    "allow_spoof": true, "allow_busoff": true}
@@ -89,9 +91,20 @@ class CampaignBackend {
 ///   {"backend": "check", "protocols": ["can", "major:5"], "max_k": 2,
 ///    "nodes": 3, "budget": 0}
 ///
-/// Every field except "backend" has the engine's default.  Returns nullptr
-/// with a message in `error` on an unknown backend or an invalid value.
+/// The keys are the keyed options of the kind's engine table
+/// (fuzz_options, rare_options, check_sweep_options; docs/SERVING.md lists
+/// them); every one except "backend" has the engine's default.  Returns
+/// nullptr with a message in `error` on an unknown backend, an unknown
+/// key, or a value of the wrong type or out of range (the message names
+/// the key).
 [[nodiscard]] std::unique_ptr<CampaignBackend> make_backend(
     const Json& spec, std::string& error);
+
+/// The job kinds make_backend accepts: fuzz, rsm, attack, rare, check.
+[[nodiscard]] const std::vector<std::string>& backend_kinds();
+
+/// Command-line flags for the spec keys of job kind `kind` (mcan-client
+/// submit): each writes its key into `spec`.  Empty for an unknown kind.
+[[nodiscard]] BoundOptions spec_options(const std::string& kind, Json& spec);
 
 }  // namespace mcan

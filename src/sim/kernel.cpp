@@ -26,4 +26,18 @@ std::optional<KernelKind> parse_kernel_name(const std::string& token) {
   return std::nullopt;
 }
 
+BoundOption kernel_option() {
+  static const OptionInfo info{"--kernel", "", "", "K",
+                               "bit engine: ref (reference loop) or fast\n"
+                               "(event-skipping, certified bit-identical)"};
+  return {&info,
+          [](const std::string& value, bool) -> std::string {
+            const std::optional<KernelKind> kind = parse_kernel_name(value);
+            if (!kind) return "'" + value + "' is not ref|fast";
+            set_default_kernel(*kind);
+            return {};
+          },
+          [] { return std::string(kernel_name(default_kernel())); }};
+}
+
 }  // namespace mcan

@@ -14,6 +14,8 @@
 #include <optional>
 #include <string>
 
+#include "util/options.hpp"
+
 namespace mcan {
 
 enum class KernelKind : int {
@@ -32,5 +34,10 @@ void set_default_kernel(KernelKind k);
 /// Parse a --kernel value; nullopt on anything but "ref"/"fast".
 [[nodiscard]] std::optional<KernelKind> parse_kernel_name(
     const std::string& token);
+
+/// The --kernel flag.  It sets the process default as it is parsed, so
+/// every bus the process builds through Network — campaign workers
+/// included — inherits the selection.
+[[nodiscard]] BoundOption kernel_option();
 
 }  // namespace mcan

@@ -1,10 +1,10 @@
 // Throttled stderr progress reporting for long sweeps.
 //
-// Long enumeration campaigns (bench_exhaustive, bench_model_check,
-// mcan-check) can run for minutes; a ProgressMeter gives the operator a
-// single in-place updating line with completed/total, a cases/sec rate and
-// an ETA, without ever flooding a log: updates are rate-limited and the
-// line is only emitted at all when enough work has happened to matter.
+// Long enumeration campaigns (mcan-check, bench_model_check) can run for
+// minutes; a ProgressMeter gives the operator a single in-place updating
+// line with completed/total, a cases/sec rate and an ETA, without ever
+// flooding a log: updates are rate-limited and the line is only emitted at
+// all when enough work has happened to matter.
 #pragma once
 
 #include <chrono>

@@ -512,5 +512,66 @@ TEST(RareCampaign, ReproducesExpressionFourOnReferenceBus) {
   EXPECT_NE(json.find("\"rel_halfwidth\""), std::string::npos);
 }
 
+// --- The rare gates (mcan-rare and mcan-client --expect-*) ---
+
+TEST(RareGate, WithinIsCiAwareAndInclusiveAtTheBoundary) {
+  RareEstimate est;
+  est.hits = 5;
+  est.ci_lo = 1e-9;
+  est.ci_hi = 0.25;  // exactly p4 / X
+  const RareGate gate{4.0, 0.0};
+  EXPECT_EQ(check_rare_gate("test", gate, est, 1.0), 0);
+  est.ci_hi = std::nextafter(0.25, 0.0);
+  EXPECT_EQ(check_rare_gate("test", gate, est, 1.0), 1);
+  est.ci_hi = 100;
+  est.ci_lo = 4.0;  // exactly p4 * X
+  EXPECT_EQ(check_rare_gate("test", gate, est, 1.0), 0);
+  est.ci_lo = std::nextafter(4.0, 5.0);
+  EXPECT_EQ(check_rare_gate("test", gate, est, 1.0), 1);
+  EXPECT_EQ(check_rare_gate("test", gate, est, 0.0), 1);  // no closed form
+}
+
+TEST(RareGate, RelativeCiNeedsHits) {
+  RareEstimate est;
+  const RareGate gate{0.0, 0.25};
+  est.hits = 0;  // rel_halfwidth 0 only because nothing was seen
+  EXPECT_EQ(check_rare_gate("test", gate, est, 1.0), 1);
+  est.hits = 3;
+  est.rel_halfwidth = 0.25;
+  EXPECT_EQ(check_rare_gate("test", gate, est, 1.0), 0);
+  est.rel_halfwidth = std::nextafter(0.25, 1.0);
+  EXPECT_EQ(check_rare_gate("test", gate, est, 1.0), 1);
+  EXPECT_EQ(check_rare_gate("test", RareGate{}, est, 1.0), 0);  // gates off
+}
+
+TEST(RareGate, ResultJsonGivesTheInProcessVerdicts) {
+  const RareResult res = run_campaign(small_campaign());
+  Json json;
+  std::string err;
+  ASSERT_TRUE(Json::parse(res.to_json(), json, err)) << err;
+  RareEstimate est;
+  double p4 = 0;
+  ASSERT_TRUE(rare_gate_inputs(json, est, p4));
+  const RareEstimate direct = res.imo_estimate();
+  EXPECT_EQ(est.ci_lo, direct.ci_lo);  // %.17g round-trips exactly
+  EXPECT_EQ(est.ci_hi, direct.ci_hi);
+  EXPECT_EQ(est.rel_halfwidth, direct.rel_halfwidth);
+  EXPECT_EQ(est.hits, direct.hits);
+  EXPECT_EQ(p4, res.closed_form_p4());
+  // Gates on both sides of the estimate, including the exact boundaries.
+  const double hi = res.closed_form_p4() / direct.ci_hi;
+  const double lo = direct.ci_lo / res.closed_form_p4();
+  for (const RareGate gate :
+       {RareGate{hi, 0}, RareGate{std::nextafter(hi, 0.0), 0},
+        RareGate{lo, 0}, RareGate{1.0001, 0}, RareGate{1e6, 0},
+        RareGate{0, direct.rel_halfwidth},
+        RareGate{0, std::nextafter(direct.rel_halfwidth, 0.0)},
+        RareGate{2, 0.5}}) {
+    EXPECT_EQ(check_rare_gate("test", gate, est, p4),
+              check_rare_gate("test", gate, direct, res.closed_form_p4()));
+  }
+  EXPECT_FALSE(rare_gate_inputs(Json::object(), est, p4));
+}
+
 }  // namespace
 }  // namespace mcan

@@ -631,5 +631,170 @@ TEST(Throughput, FourWorkersBeatOneByThreeX) {
                              << four << " s";
 }
 
+// --- Job specs through the engines' option tables ---
+
+Json parse_json(const std::string& text) {
+  Json j;
+  std::string err;
+  EXPECT_TRUE(Json::parse(text, j, err)) << err;
+  return j;
+}
+
+/// A spec as `mcan-client submit <kind> <args>` builds it.
+Json client_spec(const std::string& kind,
+                 const std::vector<std::string>& args) {
+  Json spec = Json::object();
+  spec.set("backend", Json(kind));
+  std::vector<std::string> positional;
+  EXPECT_EQ(parse_command_line(args, spec_options(kind, spec), positional),
+            "");
+  EXPECT_TRUE(positional.empty());
+  return spec;
+}
+
+std::string fingerprint_of(const Json& spec) {
+  std::string error;
+  const std::unique_ptr<CampaignBackend> b = make_backend(spec, error);
+  EXPECT_NE(b, nullptr) << error;
+  return b ? b->fingerprint() : error;
+}
+
+TEST(Backend, HostileSpecsAreRejectedNamingTheKey) {
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {R"({"backend":"rare","trials":"100"})", R"("trials")"},
+      {R"({"backend":"fuzz","nodes":"9"})", R"("nodes")"},
+      {R"({"backend":"rare","tirals":5})", R"("tirals")"},
+      {R"({"backend":"rare","max_flips":3})", R"("max_flips")"},
+      {R"({"backend":"check","errors":2})", R"("errors")"},
+      {R"({"backend":"rsm","nodes":9})", R"("nodes")"},
+      {R"({"backend":"attack","attack_budget":0})", R"("attack_budget")"},
+      {R"({"backend":"check","protocols":[]})", R"("protocols")"},
+      {R"({"backend":"rare","trials":100.0})", R"("trials")"}};
+  for (const auto& [text, key] : cases) {
+    std::string error;
+    EXPECT_EQ(make_backend(parse_json(text), error), nullptr) << text;
+    EXPECT_NE(error.find(key), std::string::npos) << error;
+  }
+}
+
+// Journals stamp the fingerprint, and a job only resumes into an equal
+// one: these strings are what the daemon wrote before the option tables
+// existed, so its journals keep resuming.
+TEST(Backend, FingerprintsAreStableAcrossReleases) {
+  // The spec shapes perfbench's serve_mix submits.
+  const std::vector<std::pair<std::string, std::string>> served = {
+      {R"({"backend":"fuzz","protocol":"can","nodes":4,"seed":123457,)"
+       R"("max_execs":96,"batch":32})",
+       R"({"backend":"fuzz","protocol":"can","nodes":4,"seed":123457,)"
+       R"("max_execs":96,"batch":32,"minimize_every":2048,)"
+       R"("max_flips":8,"mutate_protocol":false,"envelope":false})"},
+      {R"({"backend":"rsm","protocol":"major:3","nodes":3,)"
+       R"("seed":98765,"max_execs":16,"batch":8})",
+       R"({"backend":"rsm","commands":3,"payload":4,"k":2,"spacing":0,)"
+       R"("link":"direct","crash":-1,"crasht":0,"recovert":0,)"
+       R"("protocol":"major:3","nodes":3,"seed":98765,"max_execs":16,)"
+       R"("batch":8,"minimize_every":2048,"max_flips":8,)"
+       R"("mutate_protocol":false,"envelope":false})"},
+      {R"({"backend":"attack","protocol":"major:3","nodes":4,)"
+       R"("seed":5555,"max_execs":64,"batch":32})",
+       R"({"backend":"attack","protocol":"major:3","nodes":4,)"
+       R"("seed":5555,"max_execs":64,"batch":32,"minimize_every":2048,)"
+       R"("max_flips":8,"mutate_protocol":false,"envelope":false,)"
+       R"("max_attacks":2,"attack_budget":4,"allow_spoof":true,)"
+       R"("allow_busoff":true})"},
+      {R"({"backend":"rare","protocol":"can","nodes":8,"ber":1e-5,)"
+       R"("seed":4242,"trials":1024,"batch":128})",
+       R"({"backend":"rare","engine":"CAN n=8 ber=0x1.4f8b588e368f1p-17 )"
+       R"(mode=importance seed=4242 quiet=30000 win=[-2,10] base=0x0p+0 )"
+       R"(wq=0x1.0624dd2f1a9fcp-9 txq=0x1p-2 tx=[5,6] )"
+       R"(rxq=0x1.eb851eb851eb8p-6 rx=[4,5]","batch":128})"},
+      {R"({"backend":"check","protocols":["can"],"max_k":2,"nodes":4})",
+       R"({"backend":"check","protocols":["can"],"max_k":2,"nodes":4,)"
+       R"("budget":0,"dedup":true,"symmetry":true})"},
+      {R"({"backend":"check","protocols":["minor"],"max_k":2,"nodes":4})",
+       R"({"backend":"check","protocols":["minor"],"max_k":2,)"
+       R"("nodes":4,"budget":0,"dedup":true,"symmetry":true})"},
+      {R"({"backend":"check","protocols":["major:3"],"max_k":2,"nodes":4})",
+       R"({"backend":"check","protocols":["major:3"],"max_k":2,)"
+       R"("nodes":4,"budget":0,"dedup":true,"symmetry":true})"}};
+  for (const auto& [spec, want] : served) {
+    EXPECT_EQ(fingerprint_of(parse_json(spec)), want);
+  }
+  // The specs the CI daemon gates submit, built the way mcan-client does.
+  EXPECT_EQ(fingerprint_of(client_spec(
+                "fuzz", {"--protocol", "can", "--seed", "1", "--max-execs",
+                         "4000"})),
+            R"({"backend":"fuzz","protocol":"can","nodes":3,"seed":1,)"
+            R"("max_execs":4000,"batch":64,"minimize_every":2048,)"
+            R"("max_flips":8,"mutate_protocol":false,"envelope":false})");
+  EXPECT_EQ(fingerprint_of(client_spec(
+                "rare", {"--protocol", "can", "--ber", "1e-4", "--seed", "1",
+                         "--trials", "20000"})),
+            R"({"backend":"rare","engine":"CAN n=32 ber=0x1.a36e2eb1c432dp-14 )"
+            R"(mode=importance seed=1 quiet=30000 win=[-2,10] base=0x0p+0 )"
+            R"(wq=0x1.0624dd2f1a9fcp-9 txq=0x1p-2 tx=[5,6] )"
+            R"(rxq=0x1.eb851eb851eb8p-6 rx=[4,5]","batch":256})");
+  EXPECT_EQ(fingerprint_of(client_spec(
+                "fuzz", {"--protocol", "major:5", "--seed", "7",
+                         "--max-execs", "60000"})),
+            R"({"backend":"fuzz","protocol":"major:5","nodes":3,"seed":7,)"
+            R"("max_execs":60000,"batch":64,"minimize_every":2048,)"
+            R"("max_flips":8,"mutate_protocol":false,"envelope":false})");
+  EXPECT_EQ(fingerprint_of(client_spec(
+                "rsm", {"--protocol", "can", "--seed", "1", "--max-execs",
+                        "600", "--batch", "32", "--commands", "2",
+                        "--payload", "2", "--envelope"})),
+            R"({"backend":"rsm","commands":2,"payload":2,"k":2,"spacing":0,)"
+            R"("link":"direct","crash":-1,"crasht":0,"recovert":0,)"
+            R"("protocol":"can","nodes":3,"seed":1,"max_execs":600,)"
+            R"("batch":32,"minimize_every":2048,"max_flips":2,)"
+            R"("mutate_protocol":false,"envelope":true})");
+}
+
+TEST(Backend, EnvelopeSpecMatchesTheCommandLine) {
+  for (const std::string proto : {"can", "minor", "major:3", "major:5"}) {
+    // mcan-fuzz run --protocol P --envelope
+    FuzzJob cli;
+    std::vector<std::string> positional;
+    ASSERT_EQ(parse_command_line({"--protocol", proto, "--envelope"},
+                                 fuzz_options(FuzzKind::Fuzz).bind(cli),
+                                 positional),
+              "");
+    cli.resolve();
+    // {"backend": "fuzz", "protocol": P, "envelope": true}
+    Json spec = Json::object();
+    spec.set("backend", Json("fuzz"));
+    spec.set("protocol", Json(proto));
+    spec.set("envelope", Json(true));
+    FuzzJob served;
+    ASSERT_EQ(fuzz_options(FuzzKind::Fuzz).decode(spec, served, "backend"),
+              "");
+    served.resolve();
+
+    const ProtocolParams p = parse_protocol_arg(proto);
+    const FuzzBounds want = FuzzBounds{}.envelope(p);
+    EXPECT_EQ(want.max_flips, p.variant == Variant::MajorCan ? p.m : 2);
+    EXPECT_FALSE(want.allow_body);
+    EXPECT_FALSE(want.allow_crash);
+    EXPECT_FALSE(want.mutate_protocol);
+    EXPECT_EQ(cli.cfg.bounds, want) << proto;
+    EXPECT_EQ(served.cfg.bounds, want) << proto;
+    EXPECT_EQ(fingerprint_of(spec), cli.fingerprint()) << proto;
+  }
+}
+
+TEST(Backend, ClientKindsAreExactlyTheServedKinds) {
+  for (const std::string& kind : backend_kinds()) {
+    Json spec = Json::object();
+    spec.set("backend", Json(kind));
+    Json flags_spec = Json::object();
+    EXPECT_FALSE(spec_options(kind, flags_spec).empty()) << kind;
+    std::string error;
+    EXPECT_NE(make_backend(spec, error), nullptr) << kind << ": " << error;
+  }
+  Json spec = Json::object();
+  EXPECT_TRUE(spec_options("warp-drive", spec).empty());
+}
+
 }  // namespace
 }  // namespace mcan
