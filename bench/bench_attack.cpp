@@ -50,6 +50,9 @@ int max_budget_for(const ProtocolParams& p) {
 
 int main(int argc, char** argv) {
   CheckSweep sweep;
+  // --budget is the sweep's case cap per budget level.  The default is a
+  // bounded pass sized for CI; 0 certifies exhaustively.
+  sweep.budget = 500000;
   RunOptions run;
   if (const int rc = parse_flags(
           "bench_attack", argc, argv,
@@ -69,9 +72,7 @@ int main(int argc, char** argv) {
 
   BudgetProbeOptions po;
   po.jobs = run.jobs;
-  // --budget is the sweep's case cap.  Default to a bounded pass sized
-  // for CI — full certification is a deliberate, slower invocation.
-  po.max_cases = sweep.budget > 0 ? sweep.budget : 500000;
+  po.max_cases = sweep.budget;
   if (run.window) po.win_lo = run.window->first;
 
   std::vector<std::vector<std::string>> rows;
@@ -128,11 +129,7 @@ int main(int argc, char** argv) {
   std::printf("%s", render_table(rows).c_str());
 
   if (!run.json.empty()) {
-    if (!write_text_file(run.json, json)) {
-      std::fprintf(stderr, "bench_attack: cannot write %s\n",
-                   run.json.c_str());
-      return 2;
-    }
+    if (!write_text_file("bench_attack", run.json, json)) return 2;
     std::printf("json written to %s\n", run.json.c_str());
   }
   return 0;

@@ -113,11 +113,7 @@ int main(int argc, char** argv) {
   std::printf("%s\n", render_table(rows).c_str());
 
   if (!run.json.empty()) {
-    if (!write_text_file(run.json, json)) {
-      std::fprintf(stderr, "bench_imo_rate: cannot write %s\n",
-                   run.json.c_str());
-      return 2;
-    }
+    if (!write_text_file("bench_imo_rate", run.json, json)) return 2;
     std::printf("json written to %s\n", run.json.c_str());
   }
 

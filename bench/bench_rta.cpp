@@ -165,11 +165,7 @@ int main(int argc, char** argv) {
   json += "\n]}\n";
 
   if (!opt.run.json.empty()) {
-    if (!write_text_file(opt.run.json, json)) {
-      std::fprintf(stderr, "bench_rta: cannot write %s\n",
-                   opt.run.json.c_str());
-      return 2;
-    }
+    if (!write_text_file("bench_rta", opt.run.json, json)) return 2;
     std::printf("json written to %s\n", opt.run.json.c_str());
   }
 

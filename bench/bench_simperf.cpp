@@ -281,11 +281,7 @@ int main(int argc, char** argv) {
   }
 
   if (!opt.run.json.empty()) {
-    if (!write_text_file(opt.run.json, json)) {
-      std::fprintf(stderr, "bench_simperf: cannot write %s\n",
-                   opt.run.json.c_str());
-      return 2;
-    }
+    if (!write_text_file("bench_simperf", opt.run.json, json)) return 2;
     std::printf("json written to %s\n", opt.run.json.c_str());
   }
   return mismatch ? 1 : 0;

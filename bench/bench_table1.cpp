@@ -132,11 +132,7 @@ int main(int argc, char** argv) {
       s += "}";
     }
     s += "\n  ]\n}\n";
-    if (!write_text_file(run.json, s)) {
-      std::fprintf(stderr, "bench_table1: cannot write %s\n",
-                   run.json.c_str());
-      return 2;
-    }
+    if (!write_text_file("bench_table1", run.json, s)) return 2;
     std::printf("json written to %s\n", run.json.c_str());
   }
 

@@ -133,9 +133,7 @@ int main(int argc, char** argv) {
     const std::string json = sa::format_json(report);
     if (json_path == "-") {
       std::fputs(json.c_str(), stdout);
-    } else if (!write_text_file(json_path, json)) {
-      std::fprintf(stderr, "mcan-analyze: cannot write %s\n",
-                   json_path.c_str());
+    } else if (!write_text_file("mcan-analyze", json_path, json)) {
       return 2;
     }
   }

@@ -24,24 +24,22 @@
 //     mcan-attack replay scenarios/attack_spoof_can.scn
 //
 // Exit status: 0 = every gate held, 1 = a gate failed (or a reproducer
-// failed replay), 2 = usage error.
-#include <algorithm>
-#include <cctype>
+// failed replay), 2 = usage error or an output file could not be written,
+// 130 = interrupted (SIGINT/SIGTERM; fuzz and replay: stats and findings
+// still flushed).  `fuzz` and `replay` are the fuzz engine's shared
+// commands (fuzz/command.hpp).
 #include <climits>
 #include <cstdio>
-#include <cstdlib>
 #include <exception>
-#include <filesystem>
-#include <fstream>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "attack/optimize.hpp"
-#include "fuzz/engine.hpp"
-#include "fuzz/triage.hpp"
+#include "fuzz/command.hpp"
 #include "scenario/model_check.hpp"
 #include "sim/kernel.hpp"
+#include "util/stop.hpp"
+#include "util/text.hpp"
 
 namespace {
 
@@ -51,18 +49,17 @@ struct Options {
   Options() {
     job.cfg.max_execs = 3000;
     job.cfg.bounds.attack_budget = 3;
+    cmd.findings_dir = "attack-findings";
   }
 
   FuzzJob job{FuzzKind::Attack};  ///< fuzz campaign; --budget for both
   CheckSweep sweep;               ///< protocol set and bus size
   RunOptions run;
+  FuzzCommand cmd;           ///< fuzz: outputs and gate; sweep: --stats-json
   bool with_faults = false;  ///< fuzz: also mutate random flips/crashes
   long long max_cases = 0;   ///< sweep: exhaustive budget per k (0 = all)
   int expect_budget = 0;     ///< 0 = no gate
   bool expect_clean = false;
-  std::optional<std::uint32_t> expect_classes;
-  std::string findings_dir = "attack-findings";
-  std::string stats_json;
   std::string emit_scn;  ///< sweep: witness .scn path prefix
   std::string command;
   std::vector<std::string> inputs;
@@ -86,12 +83,6 @@ BoundOptions bind_options(Options& opt) {
                  "fuzz: mutate random flips/crashes alongside\n"
                  "the attackers (default: attacks only)"},
                 &Options::with_faults, true)
-        .text({"--findings", "", "", "DIR",
-               "write minimized reproducers here"},
-              &Options::findings_dir)
-        .text({"--stats-json", "", "", "FILE",
-               "write sweep/fuzz results as JSON"},
-              &Options::stats_json)
         .text({"--emit-scn", "", "", "PREFIX",
                "sweep: write each protocol's minimum-budget\n"
                "witness as PREFIX<protocol>.scn"},
@@ -105,7 +96,9 @@ BoundOptions bind_options(Options& opt) {
                                    "--no-busoff"}),
                run_options().bind(opt.run, {"--jobs", "--window"}),
                {kernel_option()}, tool.bind(opt),
-               {expect_classes_option(opt.expect_classes)}});
+               fuzz_command_options().bind(opt.cmd,
+                                           {"--findings", "--stats-json"}),
+               {expect_classes_option(opt.cmd.expect_classes)}});
 }
 
 constexpr const char* kUsage =
@@ -123,23 +116,6 @@ constexpr const char* kUsage =
     "  fuzz     coverage-guided campaign over the attack genome space\n"
     "           (one --protocol, default can)\n"
     "  replay   run .scn files through the oracle and report classes\n";
-
-bool write_file(const std::string& path, const std::string& content) {
-  std::ofstream f(path);
-  if (!f) {
-    std::fprintf(stderr, "mcan-attack: cannot write %s\n", path.c_str());
-    return false;
-  }
-  f << content;
-  return static_cast<bool>(f);
-}
-
-int check_expect_gate(const Options& opt, std::uint32_t found) {
-  if (opt.expect_clean) return check_class_gate("mcan-attack", 0, found);
-  return opt.expect_classes
-             ? check_class_gate("mcan-attack", *opt.expect_classes, found)
-             : 0;
-}
 
 // --- sweep ----------------------------------------------------------------
 
@@ -203,9 +179,6 @@ int cmd_sweep(const Options& opt) {
     if (!opt.emit_scn.empty() && res.budget > 0) {
       const BudgetProbe& hit = res.probes.back();
       ScenarioSpec wit = witness_scenario(proto, n_nodes, hit);
-      std::string stem = proto.name();
-      std::transform(stem.begin(), stem.end(), stem.begin(),
-                     [](unsigned char c) { return std::tolower(c); });
       ScenarioWriteOptions wo;
       wo.header = {"Minimum-budget glitch witness for " + proto.name() +
                        " (N=" + std::to_string(n_nodes) + "): " +
@@ -213,8 +186,11 @@ int cmd_sweep(const Options& opt) {
                        " targeted view flips defeat atomic broadcast.",
                    hit.witness_desc,
                    "Generated by: mcan-attack sweep --emit-scn"};
-      const std::string path = opt.emit_scn + stem + ".scn";
-      if (!write_file(path, write_scenario(wit, wo))) return 2;
+      const std::string path =
+          opt.emit_scn + file_slug(proto.name()) + ".scn";
+      if (!write_text_file("mcan-attack", path, write_scenario(wit, wo))) {
+        return 2;
+      }
       std::printf("  witness written to %s\n", path.c_str());
     }
     if (opt.expect_clean && res.budget != -1) {
@@ -226,7 +202,10 @@ int cmd_sweep(const Options& opt) {
     }
   }
   json += "\n]}\n";
-  if (!opt.stats_json.empty() && !write_file(opt.stats_json, json)) return 2;
+  if (!opt.cmd.stats_json.empty() &&
+      !write_text_file("mcan-attack", opt.cmd.stats_json, json)) {
+    return 2;
+  }
   return rc;
 }
 
@@ -236,74 +215,22 @@ int cmd_fuzz(const Options& opt) {
   FuzzJob job = opt.job;
   job.cfg.protocol = opt.sweep.single_protocol();
   job.cfg.n_nodes = opt.sweep.nodes;
-  job.resolve();
-  FuzzConfig cfg = job.cfg;
-  const ProtocolParams proto = cfg.protocol;
-  cfg.jobs = opt.run.jobs;
+  job.cfg.jobs = opt.run.jobs;
+  job.cfg.stop = &stop_flag();
   if (!opt.with_faults) {
     // Pure-attacker threat model (the one the sweep's budgets certify):
     // no random flips, body corruption or crashes alongside the attacks —
     // otherwise a mid-frame body flip defeats any protocol and the
     // --expect-clean gate would measure the fault envelope, not the
-    // attacker.  --with-faults re-opens the combined space.
-    cfg.bounds.max_flips = 0;
-    cfg.bounds.allow_body = false;
-    cfg.bounds.allow_crash = false;
+    // attacker.  --with-faults re-opens the combined space, which is the
+    // one a served "attack" job runs.
+    job.cfg.bounds.max_flips = 0;
+    job.cfg.bounds.allow_body = false;
+    job.cfg.bounds.allow_crash = false;
   }
-
-  const FuzzResult res = run_fuzz(cfg, {});
-  std::printf(
-      "%s nodes=%d seed=%llu attacks<=%d budget<=%d: %llu execs, "
-      "%llu findings [%s]\n",
-      proto.name().c_str(), cfg.n_nodes,
-      static_cast<unsigned long long>(cfg.seed), cfg.bounds.max_attacks,
-      cfg.bounds.attack_budget,
-      static_cast<unsigned long long>(res.stats.execs),
-      static_cast<unsigned long long>(res.stats.findings),
-      fuzz_classes_to_string(res.stats.classes_seen).c_str());
-
-  bool replay_failed = false;
-  if (!res.findings.empty()) {
-    std::vector<TriagedFinding> triaged = triage_findings(res.findings);
-    std::filesystem::create_directories(opt.findings_dir);
-    const std::string campaign =
-        "attack campaign: " + proto.name() + ", seed " +
-        std::to_string(cfg.seed);
-    for (TriagedFinding& t : triaged) {
-      // Attack-prefixed reproducer names (the name is presentation; the
-      // replay verdict was computed on the genome, which is unchanged).
-      if (t.spec.name.rfind("fuzz-", 0) == 0) {
-        t.spec.name = "attack-" + t.spec.name.substr(5);
-      }
-      const std::string path =
-          opt.findings_dir + "/" + finding_file_name(t);
-      if (!write_file(path, export_finding(t, campaign))) return 2;
-      std::printf("  %s: %s (%d raw)%s\n", fuzz_class_name(t.cls),
-                  path.c_str(), t.raw_count,
-                  t.replay_ok ? " replay verified" : " REPLAY FAILED");
-      replay_failed = replay_failed || !t.replay_ok;
-    }
-  }
-  if (!opt.stats_json.empty() &&
-      !write_file(opt.stats_json, fuzz_stats_json(res.stats, proto,
-                                                  cfg.n_nodes, cfg.seed))) {
-    return 2;
-  }
-  if (replay_failed) return 1;
-  return check_expect_gate(opt, res.stats.classes_seen);
-}
-
-int cmd_replay(const Options& opt) {
-  std::uint32_t found = 0;
-  for (const std::string& path : scenario_files(opt.inputs)) {
-    const ScenarioSpec spec = load_scenario_file(path);
-    const FuzzVerdict v = run_fuzz_case(spec);
-    found |= v.classes;
-    std::printf("%s: %s\n", path.c_str(),
-                fuzz_classes_to_string(v.classes).c_str());
-    if (v.violation()) std::printf("  %s\n", v.detail.c_str());
-  }
-  return check_expect_gate(opt, found);
+  FuzzCommand cmd = opt.cmd;
+  cmd.progress = false;  // mcan-attack has no --no-progress
+  return run_fuzz_command("mcan-attack", std::move(job), cmd);
 }
 
 }  // namespace
@@ -322,10 +249,16 @@ int main(int argc, char** argv) {
   }
   opt.command = positional.front();
   opt.inputs.assign(positional.begin() + 1, positional.end());
+  if (opt.expect_clean) opt.cmd.expect_classes = 0;
+  // The sweep polls no stop flag: SIGINT still ends it at once.
+  if (opt.command != "sweep") install_stop_handlers();
   try {
     if (opt.command == "sweep") return cmd_sweep(opt);
     if (opt.command == "fuzz") return cmd_fuzz(opt);
-    if (opt.command == "replay") return cmd_replay(opt);
+    if (opt.command == "replay") {
+      return run_replay_command("mcan-attack", opt.inputs,
+                                opt.cmd.expect_classes, &stop_flag());
+    }
   } catch (const std::exception& e) {
     std::fprintf(stderr, "mcan-attack: %s\n", e.what());
     return 2;

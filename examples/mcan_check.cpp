@@ -18,7 +18,6 @@
 // 2 = usage error or unusable configuration.
 #include <cstdio>
 #include <exception>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -83,30 +82,6 @@ constexpr const char* kUsage =
     "combination of k view-flips is simulated and classified.  A clean\n"
     "sweep is a verification result for that window; a violating one\n"
     "comes with concrete counterexamples.\n";
-
-std::string file_slug(const std::string& name) {
-  std::string out;
-  for (const char c : name) {
-    if ((c >= 'a' && c <= 'z') || (c >= '0' && c <= '9')) {
-      out += c;
-    } else if (c >= 'A' && c <= 'Z') {
-      out += static_cast<char>(c - 'A' + 'a');
-    } else {
-      out += '_';
-    }
-  }
-  return out;
-}
-
-bool write_file(const std::string& path, const std::string& content) {
-  std::ofstream f(path);
-  if (!f) {
-    std::fprintf(stderr, "mcan-check: cannot write %s\n", path.c_str());
-    return false;
-  }
-  f << content;
-  return static_cast<bool>(f);
-}
 
 struct SweepRecord {
   ModelCheckResult result;
@@ -237,7 +212,7 @@ int main(int argc, char** argv) {
           const std::string text =
               to_scenario_text(proto, opt.sweep.nodes, ce, title);
           scn_path = opt.export_dir + "/" + title + ".scn";
-          if (write_file(scn_path, text)) {
+          if (write_text_file("mcan-check", scn_path, text)) {
             const ReplayResult rr = replay_scenario_text(text);
             if (!rr.parsed || !rr.expectation_met) {
               std::fprintf(stderr,
@@ -268,7 +243,7 @@ int main(int argc, char** argv) {
       s += sweep_to_json(records[i]);
     }
     s += "]}\n";
-    if (!write_file(opt.run.json, s)) return 2;
+    if (!write_text_file("mcan-check", opt.run.json, s)) return 2;
     std::printf("report written to %s\n", opt.run.json.c_str());
   }
 
@@ -294,7 +269,7 @@ int main(int argc, char** argv) {
       s += rep.to_json();
     }
     s += "]\n";
-    if (!write_file(opt.coverage_path, s)) return 2;
+    if (!write_text_file("mcan-check", opt.coverage_path, s)) return 2;
     std::printf("coverage written to %s\n", opt.coverage_path.c_str());
   }
 

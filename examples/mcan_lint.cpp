@@ -7,6 +7,7 @@
 //
 // Exit status: 0 = all files clean, 1 = violations found, 2 = usage or
 // file error.
+#include <climits>
 #include <cstdio>
 #include <cstring>
 #include <stdexcept>
@@ -26,92 +27,47 @@ using namespace mcan;
 struct Options {
   InvariantConfig cfg;
   bool verbose = false;
-  std::vector<std::string> files;
 };
 
-void usage(std::FILE* to) {
-  std::fputs(
-      "usage: mcan-lint [options] <file.scn|file.vcd> ...\n"
-      "\n"
-      "Replays each scenario file on a simulated bus (or reconstructs a\n"
-      "recorded trace from a VCD dump) and checks the protocol invariants:\n"
-      "wired-AND consistency, stuff-rule conformance, error-flag legality,\n"
-      "end-game legality, fault-confinement counter transitions and\n"
-      "cross-node reconvergence.  VCD input carries no FSM introspection,\n"
-      "so only the record-level rules apply to it.\n"
-      "\n"
-      "options:\n"
-      "  --no-wired-and      disable the wired-AND rule\n"
-      "  --no-stuff          disable stuff-rule conformance\n"
-      "  --no-flags          disable error-flag legality\n"
-      "  --no-end-game       disable end-game legality\n"
-      "  --no-counters       disable counter-transition checking\n"
-      "  --no-reconvergence  disable frame-boundary agreement\n"
-      "  --max <n>           record at most n violations verbatim (default "
-      "64)\n"
-      "  --kernel K          bit engine for the replays: ref or fast\n"
-      "                      (certified bit-identical; default ref)\n"
-      "  -v, --verbose       report clean files too\n"
-      "  -h, --help          this text\n",
-      to);
+BoundOptions bind_options(Options& opt) {
+  static const OptionTable<Options> table = [] {
+    OptionTable<Options> t;
+    const auto rule = [](bool InvariantConfig::*field) {
+      return [field](auto& o) -> auto& { return o.cfg.*field; };
+    };
+    t.toggle({"--no-wired-and", "", "", "", "disable the wired-AND rule"},
+             rule(&InvariantConfig::wired_and), false)
+        .toggle({"--no-stuff", "", "", "", "disable stuff-rule conformance"},
+                rule(&InvariantConfig::stuff_conformance), false)
+        .toggle({"--no-flags", "", "", "", "disable error-flag legality"},
+                rule(&InvariantConfig::flag_legality), false)
+        .toggle({"--no-end-game", "", "", "", "disable end-game legality"},
+                rule(&InvariantConfig::end_game), false)
+        .toggle({"--no-counters", "", "", "",
+                 "disable counter-transition checking"},
+                rule(&InvariantConfig::counter_transitions), false)
+        .toggle({"--no-reconvergence", "", "", "",
+                 "disable frame-boundary agreement"},
+                rule(&InvariantConfig::reconvergence), false)
+        .integer({"--max", "", "", "N", "record at most N violations verbatim"},
+                 [](auto& o) -> auto& { return o.cfg.max_recorded; }, 0,
+                 LLONG_MAX)
+        .toggle({"--verbose", "-v", "", "", "report clean files too"},
+                &Options::verbose, true);
+    return t;
+  }();
+  return join({table.bind(opt), {kernel_option()}});
 }
 
-bool parse_args(int argc, char** argv, Options& opt) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "-h" || a == "--help") {
-      usage(stdout);
-      // exit in the --help path: before any thread exists.
-      std::exit(0);  // NOLINT(concurrency-mt-unsafe)
-    } else if (a == "--no-wired-and") {
-      opt.cfg.wired_and = false;
-    } else if (a == "--no-stuff") {
-      opt.cfg.stuff_conformance = false;
-    } else if (a == "--no-flags") {
-      opt.cfg.flag_legality = false;
-    } else if (a == "--no-end-game") {
-      opt.cfg.end_game = false;
-    } else if (a == "--no-counters") {
-      opt.cfg.counter_transitions = false;
-    } else if (a == "--no-reconvergence") {
-      opt.cfg.reconvergence = false;
-    } else if (a == "--max") {
-      if (++i >= argc) {
-        std::fprintf(stderr, "mcan-lint: --max needs a count\n");
-        return false;
-      }
-      try {
-        opt.cfg.max_recorded = static_cast<std::size_t>(std::stoul(argv[i]));
-      } catch (const std::exception&) {
-        std::fprintf(stderr, "mcan-lint: --max: not a number: %s\n", argv[i]);
-        return false;
-      }
-    } else if (a == "--kernel") {
-      if (++i >= argc) {
-        std::fprintf(stderr, "mcan-lint: --kernel needs a value\n");
-        return false;
-      }
-      const std::optional<KernelKind> kind = parse_kernel_name(argv[i]);
-      if (!kind) {
-        std::fprintf(stderr, "mcan-lint: bad --kernel value (ref|fast)\n");
-        return false;
-      }
-      set_default_kernel(*kind);
-    } else if (a == "-v" || a == "--verbose") {
-      opt.verbose = true;
-    } else if (!a.empty() && a[0] == '-') {
-      std::fprintf(stderr, "mcan-lint: unknown option %s\n", a.c_str());
-      return false;
-    } else {
-      opt.files.push_back(a);
-    }
-  }
-  if (opt.files.empty()) {
-    std::fprintf(stderr, "mcan-lint: no input files\n");
-    return false;
-  }
-  return true;
-}
+constexpr const char* kUsage =
+    "usage: mcan-lint [options] <file.scn|file.vcd> ...\n"
+    "\n"
+    "Replays each scenario file on a simulated bus (or reconstructs a\n"
+    "recorded trace from a VCD dump) and checks the protocol invariants:\n"
+    "wired-AND consistency, stuff-rule conformance, error-flag legality,\n"
+    "end-game legality, fault-confinement counter transitions and\n"
+    "cross-node reconvergence.  VCD input carries no FSM introspection,\n"
+    "so only the record-level rules apply to it.\n";
 
 bool ends_with(const std::string& s, const char* suffix) {
   const std::size_t n = std::strlen(suffix);
@@ -140,14 +96,20 @@ InvariantReport lint_vcd(const std::string& path, InvariantConfig cfg) {
 
 int main(int argc, char** argv) {
   Options opt;
-  if (!parse_args(argc, argv, opt)) {
-    usage(stderr);
+  std::vector<std::string> files;
+  if (const int rc = parse_flags("mcan-lint", argc, argv, bind_options(opt),
+                                 kUsage, &files);
+      rc >= 0) {
+    return rc;
+  }
+  if (files.empty()) {
+    std::fprintf(stderr, "mcan-lint: no input files (see --help)\n");
     return 2;
   }
 
   bool any_violation = false;
   bool any_error = false;
-  for (const std::string& path : opt.files) {
+  for (const std::string& path : files) {
     InvariantReport report;
     try {
       report = ends_with(path, ".vcd") ? lint_vcd(path, opt.cfg)

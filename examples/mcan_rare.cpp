@@ -17,8 +17,6 @@
 // 2 = usage error or unusable configuration, 130 = interrupted
 // (SIGINT/SIGTERM; the --journal checkpoint is still flushed, so a rerun
 // with the same journal resumes).
-#include <atomic>
-#include <csignal>
 #include <cstdio>
 #include <exception>
 #include <string>
@@ -26,23 +24,12 @@
 
 #include "rare/campaign.hpp"
 #include "sim/kernel.hpp"
+#include "util/stop.hpp"
 #include "util/text.hpp"
 
 namespace {
 
 using namespace mcan;
-
-// SIGINT/SIGTERM raise the campaign's cooperative stop flag: the round in
-// flight finishes, the journal gets a final snapshot, and the partial
-// estimate is printed before exiting 130.
-// A lock-free atomic is the one flag type that is both async-signal-safe
-// to store ([support.signal]) and safe for the campaign's worker threads
-// to poll (volatile sig_atomic_t would be a cross-thread data race).
-std::atomic<bool> g_interrupted{false};
-static_assert(std::atomic<bool>::is_always_lock_free,
-              "signal handler requires a lock-free stop flag");
-
-void on_signal(int) { g_interrupted.store(true); }
 
 struct Options {
   RareConfig cfg;
@@ -85,11 +72,7 @@ void attach_progress(Options& opt) {
 
 int write_json(const Options& opt, const RareResult& res) {
   if (opt.run.json.empty()) return 0;
-  if (!write_text_file(opt.run.json, res.to_json())) {
-    std::fprintf(stderr, "mcan-rare: cannot write %s\n",
-                 opt.run.json.c_str());
-    return 2;
-  }
+  if (!write_text_file("mcan-rare", opt.run.json, res.to_json())) return 2;
   std::printf("json written to %s\n", opt.run.json.c_str());
   return 0;
 }
@@ -100,7 +83,7 @@ int cmd_estimate(Options& opt, bool require_journal) {
     return 2;
   }
   attach_progress(opt);
-  opt.cfg.stop = &g_interrupted;
+  opt.cfg.stop = &stop_flag();
   const RareResult res = run_campaign(opt.cfg);
   std::printf("%s\n", res.summary().c_str());
   if (res.tail_memo.hits + res.tail_memo.misses > 0) {
@@ -110,7 +93,7 @@ int cmd_estimate(Options& opt, bool require_journal) {
   }
   const int rc = write_json(opt, res);
   if (rc) return rc;
-  if (g_interrupted.load()) {
+  if (stop_flag().load()) {
     std::fprintf(stderr, "mcan-rare: interrupted after %lld trials%s\n",
                  res.imo.trials(),
                  opt.cfg.journal.empty() ? "" : "; journal flushed");
@@ -149,11 +132,7 @@ int cmd_compare(Options& opt) {
   rows.push_back({"expr(4)", sci(p4), "-", "-", "-", "-", "-"});
   std::printf("%s", render_table(rows).c_str());
   if (!opt.run.json.empty()) {
-    if (!write_text_file(opt.run.json, json)) {
-      std::fprintf(stderr, "mcan-rare: cannot write %s\n",
-                   opt.run.json.c_str());
-      return 2;
-    }
+    if (!write_text_file("mcan-rare", opt.run.json, json)) return 2;
     std::printf("json written to %s\n", opt.run.json.c_str());
   }
   return 0;
@@ -189,8 +168,7 @@ int main(int argc, char** argv) {
     opt.cfg.bias.win_lo_rel = opt.run.window->first;
     opt.cfg.bias.win_hi_rel = opt.run.window->second;
   }
-  std::signal(SIGINT, on_signal);
-  std::signal(SIGTERM, on_signal);
+  install_stop_handlers();
   try {
     if (opt.command == "estimate") return cmd_estimate(opt, false);
     if (opt.command == "resume") return cmd_estimate(opt, true);

@@ -14,50 +14,39 @@
 //     mcan-rsm replay scenarios/rsm_*.scn
 //
 // Exit status: 0 = ran and every gate held, 1 = a gate failed (or an
-// exported reproducer failed replay), 2 = usage error, 130 = interrupted
-// (SIGINT/SIGTERM; partial results still reported).
-#include <atomic>
-#include <csignal>
+// exported reproducer failed replay), 2 = usage error or an output file
+// could not be written, 130 = interrupted (SIGINT/SIGTERM; partial
+// results still reported).  `fuzz` and `replay` are the fuzz engine's
+// shared commands (fuzz/command.hpp).
 #include <cstdio>
-#include <cstdlib>
 #include <exception>
 #include <filesystem>
-#include <fstream>
 #include <string>
 #include <vector>
 
-#include "fuzz/engine.hpp"
-#include "fuzz/triage.hpp"
+#include "fuzz/command.hpp"
 #include "rsm/check.hpp"
 #include "scenario/model_check.hpp"
 #include "sim/kernel.hpp"
+#include "util/stop.hpp"
+#include "util/text.hpp"
 
 namespace {
 
 using namespace mcan;
 
-// SIGINT/SIGTERM raise the engines' cooperative stop flag: the sweep or
-// campaign finishes the case in flight, then reports what it has.
-// A lock-free atomic is the one flag type that is both async-signal-safe
-// to store ([support.signal]) and safe for worker threads to poll
-// (volatile sig_atomic_t would be a cross-thread data race).
-std::atomic<bool> g_interrupted{false};
-static_assert(std::atomic<bool>::is_always_lock_free,
-              "signal handler requires a lock-free stop flag");
-
-void on_signal(int) { g_interrupted.store(true); }
-
 struct Options {
-  Options() { job.cfg.max_execs = 5000; }
+  Options() {
+    job.cfg.max_execs = 5000;
+    cmd.findings_dir = "rsm-findings";
+  }
 
   FuzzJob job{FuzzKind::Rsm};  ///< workload, bus size, fuzz campaign
   CheckSweep sweep;            ///< check: protocol set and k
   RunOptions run;
+  FuzzCommand cmd;     ///< fuzz: outputs and gate; check: --findings
   int max_frames = 2;  ///< check: flip targets cover this many frames
   bool expect_clean = false;
-  std::string findings_dir = "rsm-findings";
-  std::string stats_json;
-  std::optional<std::uint32_t> expect_classes;
   std::string command;
   std::vector<std::string> inputs;  ///< positional .scn files/dirs
 };
@@ -68,12 +57,6 @@ BoundOptions bind_options(Options& opt) {
     t.integer({"--max-frames", "", "", "N",
                "check: flip targets per frame index < N"},
               &Options::max_frames, 1, 1000)
-        .text({"--findings", "", "", "DIR", "write .scn reproducers here"},
-              &Options::findings_dir)
-        .text({"--stats-json", "", "", "FILE",
-               "fuzz: campaign stats as JSON (same bytes as\n"
-               "a served \"rsm\" job's result)"},
-              &Options::stats_json)
         .toggle({"--expect-clean", "", "", "",
                  "exit 1 unless every property held everywhere"},
                 &Options::expect_clean, true);
@@ -88,7 +71,8 @@ BoundOptions bind_options(Options& opt) {
                            "--max-flips", "--envelope"}),
        run_options().bind(opt.run, {"--jobs", "--window", "--no-progress"}),
        {kernel_option()}, tool.bind(opt),
-       {expect_classes_option(opt.expect_classes)}});
+       fuzz_command_options().bind(opt.cmd, {"--findings", "--stats-json"}),
+       {expect_classes_option(opt.cmd.expect_classes)}});
 }
 
 constexpr const char* kUsage =
@@ -111,36 +95,6 @@ constexpr const char* kUsage =
     "\n"
     "The workload flags (--commands ... --recover-t) apply to every\n"
     "command; run and fuzz take one --protocol (default can).\n";
-
-std::string file_slug(const std::string& name) {
-  std::string out;
-  for (const char c : name) {
-    if ((c >= 'a' && c <= 'z') || (c >= '0' && c <= '9')) {
-      out += c;
-    } else if (c >= 'A' && c <= 'Z') {
-      out += static_cast<char>(c - 'A' + 'a');
-    } else {
-      out += '_';
-    }
-  }
-  return out;
-}
-
-bool write_file(const std::string& path, const std::string& content) {
-  std::ofstream f(path);
-  if (!f) {
-    std::fprintf(stderr, "mcan-rsm: cannot write %s\n", path.c_str());
-    return false;
-  }
-  f << content;
-  return static_cast<bool>(f);
-}
-
-int check_expect_gate(const Options& opt, std::uint32_t found) {
-  return opt.expect_classes
-             ? check_class_gate("mcan-rsm", *opt.expect_classes, found)
-             : 0;
-}
 
 int report_run(const std::string& label, const RsmRunResult& res,
                const Options& opt, bool& any_dirty, bool& any_unmet) {
@@ -185,7 +139,7 @@ int cmd_run(const Options& opt) {
       report_run(path, res, opt, any_dirty, any_unmet);
     }
   }
-  if (g_interrupted.load()) return 130;
+  if (stop_flag().load()) return 130;
   if (any_unmet) return 1;
   if (opt.expect_clean && any_dirty) {
     std::fprintf(stderr, "mcan-rsm: FAIL: --expect-clean\n");
@@ -210,7 +164,7 @@ int cmd_check(const Options& opt) {
     }
     cfg.max_frames = opt.max_frames;
     cfg.jobs = opt.run.jobs;
-    cfg.stop = &g_interrupted;
+    cfg.stop = &stop_flag();
     const RsmCheckResult res = run_rsm_check(cfg);
     std::printf("%s nodes=%d k<=%d window %d..%d: %s\n", proto.name().c_str(),
                 cfg.base.n_nodes, cfg.max_k, cfg.win_lo, cfg.window_hi(),
@@ -220,15 +174,16 @@ int cmd_check(const Options& opt) {
       spec.expect = Expectation::Imo;
       spec.name = "rsm-check-" + file_slug(proto.name()) + "-" +
                   std::to_string(i);
-      const std::string path = opt.findings_dir + "/" + spec.name + ".scn";
-      std::filesystem::create_directories(opt.findings_dir);
-      if (!write_file(path, write_scenario(spec))) return 2;
+      const std::string path =
+          opt.cmd.findings_dir + "/" + spec.name + ".scn";
+      std::filesystem::create_directories(opt.cmd.findings_dir);
+      if (!write_text_file("mcan-rsm", path, write_scenario(spec))) return 2;
       std::printf("  counterexample: %s\n", path.c_str());
     }
     any_violations = any_violations || res.violations() > 0;
     stopped = stopped || res.stopped;
   }
-  if (stopped || g_interrupted.load()) return 130;
+  if (stopped || stop_flag().load()) return 130;
   if (opt.expect_clean && any_violations) {
     std::fprintf(stderr, "mcan-rsm: FAIL: --expect-clean\n");
     return 1;
@@ -239,71 +194,11 @@ int cmd_check(const Options& opt) {
 int cmd_fuzz(const Options& opt) {
   FuzzJob job = opt.job;
   job.cfg.protocol = opt.sweep.single_protocol();
-  job.resolve();
-  FuzzConfig cfg = job.cfg;
-  const ProtocolParams proto = cfg.protocol;
-  cfg.jobs = opt.run.jobs;
-  cfg.stop = &g_interrupted;
-  if (opt.run.progress) {
-    cfg.on_round = [](const FuzzStats& st) {
-      std::fprintf(stderr, "\r%llu execs, corpus %d, %llu findings [%s]   ",
-                   static_cast<unsigned long long>(st.execs), st.corpus_size,
-                   static_cast<unsigned long long>(st.findings),
-                   fuzz_classes_to_string(st.classes_seen).c_str());
-    };
-  }
-
-  const FuzzResult res = run_fuzz(cfg);
-  if (opt.run.progress) std::fprintf(stderr, "\n");
-  std::printf("%s nodes=%d seed=%llu: %llu execs, %llu findings [%s]\n",
-              proto.name().c_str(), cfg.n_nodes,
-              static_cast<unsigned long long>(cfg.seed),
-              static_cast<unsigned long long>(res.stats.execs),
-              static_cast<unsigned long long>(res.stats.findings),
-              fuzz_classes_to_string(res.stats.classes_seen).c_str());
-
-  bool replay_failed = false;
-  if (!res.findings.empty()) {
-    const std::string campaign = proto.name() + " + rsm, seed " +
-                                 std::to_string(cfg.seed) + ", " +
-                                 std::to_string(res.stats.execs) + " execs";
-    const std::vector<TriagedFinding> triaged =
-        export_findings(res.findings, opt.findings_dir, campaign);
-    for (const TriagedFinding& t : triaged) {
-      std::printf("  %s: %s (%d raw, exec %llu)%s\n", fuzz_class_name(t.cls),
-                  (opt.findings_dir + "/" + finding_file_name(t)).c_str(),
-                  t.raw_count, static_cast<unsigned long long>(t.exec_index),
-                  t.replay_ok ? " replay verified" : " REPLAY FAILED");
-      replay_failed = replay_failed || !t.replay_ok;
-    }
-  }
-  if (!opt.stats_json.empty() &&
-      !write_file(opt.stats_json,
-                  fuzz_stats_json(res.stats, proto, cfg.n_nodes, cfg.seed))) {
-    return 2;
-  }
-  if (g_interrupted.load()) {
-    std::fprintf(stderr, "mcan-rsm: interrupted after %llu execs; findings "
-                         "flushed\n",
-                 static_cast<unsigned long long>(res.stats.execs));
-    return 130;
-  }
-  if (replay_failed) return 1;
-  return check_expect_gate(opt, res.stats.classes_seen);
-}
-
-int cmd_replay(const Options& opt) {
-  std::uint32_t found = 0;
-  for (const std::string& path : scenario_files(opt.inputs)) {
-    const ScenarioSpec spec = load_scenario_file(path);
-    const FuzzVerdict v = run_fuzz_case(spec);
-    found |= v.classes;
-    std::printf("%s: %s\n", path.c_str(),
-                fuzz_classes_to_string(v.classes).c_str());
-    if (v.violation()) std::printf("  %s\n", v.detail.c_str());
-  }
-  if (g_interrupted.load()) return 130;
-  return check_expect_gate(opt, found);
+  job.cfg.jobs = opt.run.jobs;
+  job.cfg.stop = &stop_flag();
+  FuzzCommand cmd = opt.cmd;
+  cmd.progress = opt.run.progress;
+  return run_fuzz_command("mcan-rsm", std::move(job), cmd);
 }
 
 }  // namespace
@@ -322,13 +217,15 @@ int main(int argc, char** argv) {
   }
   opt.command = positional.front();
   opt.inputs.assign(positional.begin() + 1, positional.end());
-  std::signal(SIGINT, on_signal);
-  std::signal(SIGTERM, on_signal);
+  install_stop_handlers();
   try {
     if (opt.command == "run") return cmd_run(opt);
     if (opt.command == "check") return cmd_check(opt);
     if (opt.command == "fuzz") return cmd_fuzz(opt);
-    if (opt.command == "replay") return cmd_replay(opt);
+    if (opt.command == "replay") {
+      return run_replay_command("mcan-rsm", opt.inputs,
+                                opt.cmd.expect_classes, &stop_flag());
+    }
   } catch (const std::exception& e) {
     std::fprintf(stderr, "mcan-rsm: %s\n", e.what());
     return 2;

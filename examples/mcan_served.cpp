@@ -13,75 +13,61 @@
 // SIGINT/SIGTERM shut down gracefully: in-flight shards finish, every
 // live job gets a final journal snapshot, the socket is removed.
 // Exit status: 0 = clean shutdown, 1 = startup failure, 2 = usage error.
-#include <atomic>
-#include <csignal>
+#include <climits>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "serve/server.hpp"
 #include "sim/kernel.hpp"
+#include "util/stop.hpp"
 
 namespace {
 
 using namespace mcan;
 
-// The handler only stores to a lock-free atomic — the async-signal-safe
-// subset ([support.signal]) that is also safe for the main thread to
-// read concurrently.  run() polls this flag.
-std::atomic<bool> g_interrupted{false};
-static_assert(std::atomic<bool>::is_always_lock_free,
-              "signal handler requires a lock-free stop flag");
+constexpr const char* kUsage =
+    "usage: mcan-served [options]\n"
+    "\n"
+    "Campaign orchestration daemon: accepts fuzz / rsm / attack / rare /\n"
+    "check jobs over a Unix-domain socket, shards their rounds across a\n"
+    "worker fleet, and journals progress for crash recovery.  Results are\n"
+    "bit-identical to local single-process runs of the same specs.\n";
 
-void on_signal(int) { g_interrupted.store(true); }
-
-void usage(std::FILE* to) {
-  std::fputs(
-      "usage: mcan-served [options]\n"
-      "\n"
-      "Campaign orchestration daemon: accepts fuzz / rare / check jobs\n"
-      "over a Unix-domain socket, shards their rounds across a worker\n"
-      "fleet, and journals progress for crash recovery.  Results are\n"
-      "bit-identical to local single-process runs of the same specs.\n"
-      "\n"
-      "options:\n"
-      "  --socket PATH        listening socket (default mcan-serve.sock)\n"
-      "  --journal-dir DIR    job journals for crash recovery (default\n"
-      "                       none: no persistence)\n"
-      "  --workers N          worker threads (default 1; 0 = hardware)\n"
-      "  --capacity N         max live jobs before submits are rejected\n"
-      "                       (default 64)\n"
-      "  --shard-size N       slots per shard (default 16)\n"
-      "  --max-retries N      shard requeues before a job fails "
-      "(default 3)\n"
-      "  --checkpoint-every N units between journal snapshots "
-      "(default 4096)\n"
-      "  --heartbeat-timeout S  declare a silent worker dead after S\n"
-      "                       seconds (default 60)\n"
-      "  --kernel K           bit engine for all jobs: ref or fast\n"
-      "                       (certified bit-identical; default ref)\n"
-      "  -h, --help           this text\n",
-      to);
-}
-
-bool need_value(int argc, char** argv, int& i, std::string& out) {
-  if (i + 1 >= argc) {
-    std::fprintf(stderr, "mcan-served: %s needs a value\n", argv[i]);
-    return false;
-  }
-  out = argv[++i];
-  return true;
-}
-
-bool parse_ll(const std::string& s, long long& out) {
-  try {
-    std::size_t pos = 0;
-    out = std::stoll(s, &pos);
-    return pos == s.size();
-  } catch (...) {
-    return false;
-  }
+BoundOptions bind_options(ServerConfig& cfg) {
+  static const OptionTable<ServerConfig> table = [] {
+    OptionTable<ServerConfig> t;
+    t.text({"--socket", "", "", "PATH", "listening socket"},
+           &ServerConfig::socket_path)
+        .text({"--journal-dir", "", "", "DIR",
+               "job journals for crash recovery (none: no\n"
+               "persistence)"},
+              [](auto& c) -> auto& { return c.serve.journal_dir; })
+        .integer({"--workers", "", "", "N",
+                  "worker threads, 0 = one per hardware thread"},
+                 [](auto& c) -> auto& { return c.pool.workers; }, 0, 1024)
+        .integer({"--capacity", "", "", "N",
+                  "max live jobs before submits are rejected"},
+                 [](auto& c) -> auto& { return c.serve.capacity; }, 1,
+                 LLONG_MAX)
+        .integer({"--shard-size", "", "", "N", "slots per shard"},
+                 [](auto& c) -> auto& { return c.serve.shard_size; }, 1,
+                 LLONG_MAX)
+        .integer({"--max-retries", "", "", "N",
+                  "shard requeues before a job fails"},
+                 [](auto& c) -> auto& { return c.serve.max_retries; }, 0,
+                 INT_MAX)
+        .integer({"--checkpoint-every", "", "", "N",
+                  "units between journal snapshots"},
+                 [](auto& c) -> auto& { return c.serve.checkpoint_every; }, 1,
+                 LLONG_MAX)
+        .integer({"--heartbeat-timeout", "", "", "S",
+                  "declare a silent worker dead after S seconds"},
+                 [](auto& c) -> auto& { return c.pool.heartbeat_timeout_s; },
+                 1, LLONG_MAX);
+    return t;
+  }();
+  return join({table.bind(cfg), {kernel_option()}});
 }
 
 }  // namespace
@@ -89,71 +75,14 @@ bool parse_ll(const std::string& s, long long& out) {
 int main(int argc, char** argv) {
   ServerConfig cfg;
   cfg.pool.workers = 1;
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    std::string v;
-    long long n = 0;
-    if (a == "-h" || a == "--help") {
-      usage(stdout);
-      return 0;
-    } else if (a == "--socket") {
-      if (!need_value(argc, argv, i, cfg.socket_path)) return 2;
-    } else if (a == "--journal-dir") {
-      if (!need_value(argc, argv, i, cfg.serve.journal_dir)) return 2;
-    } else if (a == "--workers") {
-      if (!need_value(argc, argv, i, v) || !parse_ll(v, n) || n < 0) {
-        std::fprintf(stderr, "mcan-served: bad --workers value\n");
-        return 2;
-      }
-      cfg.pool.workers = static_cast<int>(n);
-    } else if (a == "--capacity") {
-      if (!need_value(argc, argv, i, v) || !parse_ll(v, n) || n < 1) {
-        std::fprintf(stderr, "mcan-served: bad --capacity value\n");
-        return 2;
-      }
-      cfg.serve.capacity = static_cast<std::size_t>(n);
-    } else if (a == "--shard-size") {
-      if (!need_value(argc, argv, i, v) || !parse_ll(v, n) || n < 1) {
-        std::fprintf(stderr, "mcan-served: bad --shard-size value\n");
-        return 2;
-      }
-      cfg.serve.shard_size = static_cast<std::size_t>(n);
-    } else if (a == "--max-retries") {
-      if (!need_value(argc, argv, i, v) || !parse_ll(v, n) || n < 0) {
-        std::fprintf(stderr, "mcan-served: bad --max-retries value\n");
-        return 2;
-      }
-      cfg.serve.max_retries = static_cast<int>(n);
-    } else if (a == "--checkpoint-every") {
-      if (!need_value(argc, argv, i, v) || !parse_ll(v, n) || n < 1) {
-        std::fprintf(stderr, "mcan-served: bad --checkpoint-every value\n");
-        return 2;
-      }
-      cfg.serve.checkpoint_every = static_cast<std::uint64_t>(n);
-    } else if (a == "--heartbeat-timeout") {
-      if (!need_value(argc, argv, i, v) || !parse_ll(v, n) || n < 1) {
-        std::fprintf(stderr, "mcan-served: bad --heartbeat-timeout value\n");
-        return 2;
-      }
-      cfg.pool.heartbeat_timeout_s = static_cast<double>(n);
-    } else if (a == "--kernel") {
-      if (!need_value(argc, argv, i, v)) return 2;
-      const std::optional<KernelKind> kind = parse_kernel_name(v);
-      if (!kind) {
-        std::fprintf(stderr, "mcan-served: bad --kernel value (ref|fast)\n");
-        return 2;
-      }
-      set_default_kernel(*kind);
-    } else {
-      std::fprintf(stderr, "mcan-served: unknown option %s\n", a.c_str());
-      usage(stderr);
-      return 2;
-    }
+  if (const int rc =
+          parse_flags("mcan-served", argc, argv, bind_options(cfg), kUsage);
+      rc >= 0) {
+    return rc;
   }
 
   CampaignServer server(cfg);
-  std::signal(SIGINT, on_signal);
-  std::signal(SIGTERM, on_signal);
+  install_stop_handlers();
 
   std::vector<std::string> notes;
   std::string error;
@@ -166,7 +95,7 @@ int main(int argc, char** argv) {
   }
   std::fprintf(stderr, "mcan-served: listening on %s (%d workers)\n",
                server.socket_path().c_str(), cfg.pool.workers);
-  server.run(&g_interrupted);
+  server.run(&stop_flag());
   std::fprintf(stderr, "mcan-served: stopped\n");
   return 0;
 }

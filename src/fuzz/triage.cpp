@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <map>
 #include <tuple>
 
 #include "rsm/runner.hpp"
+#include "util/text.hpp"
 
 namespace mcan {
 
@@ -205,7 +205,8 @@ ScenarioSpec minimize_finding(const ScenarioSpec& spec, FuzzClass cls) {
   return best;
 }
 
-std::vector<TriagedFinding> triage_findings(const std::vector<FuzzFinding>& raw) {
+std::vector<TriagedFinding> triage_findings(const std::vector<FuzzFinding>& raw,
+                                            const std::string& prefix) {
   // Pre-dedupe raw genomes so each distinct one is minimized once.
   std::map<std::string, FuzzFinding> unique;
   std::map<std::string, int> counts;
@@ -248,7 +249,7 @@ std::vector<TriagedFinding> triage_findings(const std::vector<FuzzFinding>& raw)
     char tail[16];
     std::snprintf(tail, sizeof tail, "%012llx",
                   static_cast<unsigned long long>(h & 0xffffffffffffULL));
-    t.spec.name = std::string("fuzz-") + fuzz_class_name(t.cls) + "-" + tail;
+    t.spec.name = prefix + fuzz_class_name(t.cls) + "-" + tail;
     t.spec.expect = Expectation::Any;
     const bool rsm_cls = t.cls == FuzzClass::Election ||
                          t.cls == FuzzClass::LogDiverge ||
@@ -306,15 +307,30 @@ std::string export_finding(const TriagedFinding& f,
   return write_scenario(f.spec, opts);
 }
 
+std::vector<std::string> write_findings(
+    const std::vector<TriagedFinding>& triaged, const std::string& dir,
+    const std::string& campaign) {
+  if (!triaged.empty()) {
+    // A directory that cannot be made shows up as unwritable files.
+    std::error_code ec;
+    std::filesystem::create_directories(dir, ec);
+  }
+  std::vector<std::string> failed;
+  for (const TriagedFinding& t : triaged) {
+    const std::string path =
+        (std::filesystem::path(dir) / finding_file_name(t)).string();
+    if (!write_text_file(path, export_finding(t, campaign))) {
+      failed.push_back(path);
+    }
+  }
+  return failed;
+}
+
 std::vector<TriagedFinding> export_findings(const std::vector<FuzzFinding>& raw,
                                             const std::string& dir,
                                             const std::string& campaign) {
   std::vector<TriagedFinding> triaged = triage_findings(raw);
-  if (!triaged.empty()) std::filesystem::create_directories(dir);
-  for (const TriagedFinding& t : triaged) {
-    std::ofstream out(std::filesystem::path(dir) / finding_file_name(t));
-    out << export_finding(t, campaign);
-  }
+  (void)write_findings(triaged, dir, campaign);
   return triaged;
 }
 

@@ -36,18 +36,27 @@ struct TriagedFinding {
 [[nodiscard]] ScenarioSpec minimize_finding(const ScenarioSpec& spec,
                                             FuzzClass cls);
 
-/// Minimize, dedupe and replay-verify a campaign's raw findings.  Output
-/// is sorted by (class severity, discovery order).
+/// Minimize, dedupe and replay-verify a campaign's raw findings, naming
+/// each reproducer <prefix><class>-<hash-of-genome> ("fuzz-" for fuzz and
+/// rsm campaigns, "attack-" for attack campaigns).  Output is sorted by
+/// (class severity, discovery order).
 [[nodiscard]] std::vector<TriagedFinding> triage_findings(
-    const std::vector<FuzzFinding>& raw);
+    const std::vector<FuzzFinding>& raw, const std::string& prefix = "fuzz-");
 
-/// Stable reproducer file name: fuzz-<class>-<hash-of-genome>.scn.
+/// Stable reproducer file name: the reproducer's name plus ".scn".
 [[nodiscard]] std::string finding_file_name(const TriagedFinding& f);
 
 /// Render the reproducer as lint-clean .scn text with a provenance header.
 /// `campaign` names the run for the header (e.g. "seed 7, 2000 execs").
 [[nodiscard]] std::string export_finding(const TriagedFinding& f,
                                          const std::string& campaign);
+
+/// Write every reproducer into `dir` (created unless `triaged` is empty),
+/// named by finding_file_name().  Returns the paths that could not be
+/// written.
+[[nodiscard]] std::vector<std::string> write_findings(
+    const std::vector<TriagedFinding>& triaged, const std::string& dir,
+    const std::string& campaign);
 
 /// Triage + write every reproducer into `dir` (created).  Returns the
 /// triaged set (file names follow finding_file_name()).

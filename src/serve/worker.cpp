@@ -1,16 +1,14 @@
 #include "serve/worker.hpp"
 
-#include <algorithm>
 #include <chrono>
+
+#include "util/parallel.hpp"
 
 namespace mcan {
 
 WorkerPool::WorkerPool(JobManager& manager, WorkerPoolConfig cfg)
     : manager_(manager), cfg_(std::move(cfg)) {
-  if (cfg_.workers <= 0) {
-    cfg_.workers =
-        static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
-  }
+  cfg_.workers = resolve_jobs(cfg_.workers);
 }
 
 WorkerPool::~WorkerPool() { stop_join(); }

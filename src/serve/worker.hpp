@@ -32,7 +32,7 @@
 namespace mcan {
 
 struct WorkerPoolConfig {
-  int workers = 1;  ///< 0 = one per hardware thread
+  int workers = 1;  ///< resolve_jobs(): 0 = one per hardware thread
   /// Monitor: requeue a busy worker's shard when its heartbeat is older
   /// than this.  Dead workers (thread exited) are requeued immediately.
   double heartbeat_timeout_s = 60;

@@ -93,4 +93,25 @@ bool write_text_file(const std::string& path, const std::string& content) {
   return n == content.size() && rc == 0;
 }
 
+bool write_text_file(const char* tool, const std::string& path,
+                     const std::string& content) {
+  if (write_text_file(path, content)) return true;
+  std::fprintf(stderr, "%s: cannot write %s\n", tool, path.c_str());
+  return false;
+}
+
+std::string file_slug(const std::string& name) {
+  std::string out;
+  for (const char c : name) {
+    if ((c >= 'a' && c <= 'z') || (c >= '0' && c <= '9')) {
+      out += c;
+    } else if (c >= 'A' && c <= 'Z') {
+      out += static_cast<char>(c - 'A' + 'a');
+    } else {
+      out += '_';
+    }
+  }
+  return out;
+}
+
 }  // namespace mcan

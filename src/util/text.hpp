@@ -37,4 +37,14 @@ namespace mcan {
 [[nodiscard]] bool write_text_file(const std::string& path,
                                    const std::string& content);
 
+/// write_text_file() for a command: on error, prints "<tool>: cannot
+/// write <path>" to stderr before returning false.
+[[nodiscard]] bool write_text_file(const char* tool, const std::string& path,
+                                   const std::string& content);
+
+/// `name` as a file-name stem: lower-case letters and digits kept,
+/// upper-case letters lowered, anything else '_' ("MajorCAN_3" ->
+/// "majorcan_3").
+[[nodiscard]] std::string file_slug(const std::string& name);
+
 }  // namespace mcan
