@@ -117,6 +117,11 @@ int cmd_merge(const Options& opt) {
   }
   corpus.minimize();
   const int n = save_corpus(corpus, opt.cmd.corpus_dir);
+  if (n < static_cast<int>(corpus.size())) {
+    std::fprintf(stderr, "mcan-fuzz: cannot write the corpus to %s\n",
+                 opt.cmd.corpus_dir.c_str());
+    return 2;
+  }
   std::printf("merged corpus: %d entries (%d signature bits) -> %s\n", n,
               corpus.accumulated().popcount(), opt.cmd.corpus_dir.c_str());
   return 0;

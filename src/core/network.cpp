@@ -21,6 +21,10 @@ Network::Network(int n, const ProtocolParams& protocol,
     sim_.attach(*node);
     nodes_.push_back(std::move(node));
   }
+  install_default_kernel();
+}
+
+void Network::install_default_kernel() {
   // One install point for every engine that assembles buses through
   // Network: the scenario runner, fuzzer, rare-event trials, model
   // checker, rsm, attack sweeps and serve backends all inherit the
@@ -28,6 +32,14 @@ Network::Network(int n, const ProtocolParams& protocol,
   if (default_kernel() == KernelKind::Fast) {
     sim_.install_kernel(make_fast_kernel(sim_));
   }
+}
+
+void Network::restart() {
+  for (auto& journal : deliveries_) journal.clear();
+  log_.clear();
+  trace_.clear();
+  sim_.restart();
+  install_default_kernel();
 }
 
 void Network::enable_trace() { sim_.add_observer(trace_); }

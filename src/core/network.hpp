@@ -46,6 +46,14 @@ class Network {
     return deliveries_.at(static_cast<std::size_t>(i));
   }
 
+  /// Put the bus back into a freshly constructed bus's state, apart from
+  /// the controllers' runtime state (clone_bus overwrites all of it, see
+  /// scenario/probe.hpp): journals, event log and trace emptied with their
+  /// capacity kept, the simulator restarted (Simulator::restart), and the
+  /// kernel backend of the current default kernel installed afresh.
+  /// Observers stay attached.
+  void restart();
+
   /// Enable per-bit trace recording (off by default: it is memory-hungry).
   void enable_trace();
 
@@ -67,6 +75,10 @@ class Network {
   [[nodiscard]] std::vector<std::string> labels() const;
 
  private:
+  /// The process-global default kernel's backend, if it is not the
+  /// reference loop.
+  void install_default_kernel();
+
   // Declaration order is a lifetime contract: sim_ last, so its destructor
   // (which flushes an installed kernel backend's shared state back into
   // the controllers) runs while the controllers are still alive.

@@ -94,8 +94,14 @@ int run_fuzz_command(const char* tool, FuzzJob job, const FuzzCommand& cmd) {
   }
   if (!cmd.corpus_dir.empty()) {
     const int n = save_corpus(res.corpus, cmd.corpus_dir);
-    std::printf("corpus: %d entries written to %s\n", n,
-                cmd.corpus_dir.c_str());
+    if (n < static_cast<int>(res.corpus.size())) {
+      std::fprintf(stderr, "%s: cannot write the corpus to %s\n", tool,
+                   cmd.corpus_dir.c_str());
+      rc = 2;
+    } else {
+      std::printf("corpus: %d entries written to %s\n", n,
+                  cmd.corpus_dir.c_str());
+    }
   }
   if (!cmd.stats_json.empty() &&
       !write_text_file(tool, cmd.stats_json,

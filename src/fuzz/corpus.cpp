@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 
 #include "fuzz/oracle.hpp"
+#include "util/text.hpp"
 
 namespace mcan {
 
@@ -64,19 +64,23 @@ void Corpus::restore(std::vector<CorpusEntry> entries,
 }
 
 int save_corpus(const Corpus& corpus, const std::string& dir) {
-  std::filesystem::create_directories(dir);
-  int n = 0;
+  // A directory that cannot be made shows up as unwritable files.
+  std::error_code ec;
+  std::filesystem::create_directories(dir, ec);
+  int index = 0;
+  int written = 0;
   for (const CorpusEntry& e : corpus.entries()) {
     char name[32];
-    std::snprintf(name, sizeof name, "corpus-%04d.scn", n);
+    std::snprintf(name, sizeof name, "corpus-%04d.scn", index++);
     ScenarioWriteOptions opts;
     opts.header = {"fuzz corpus entry (exec " + std::to_string(e.exec_index) +
                    ", energy " + std::to_string(e.energy) + ")"};
-    std::ofstream out(std::filesystem::path(dir) / name);
-    out << write_scenario(e.spec, opts);
-    ++n;
+    if (write_text_file((std::filesystem::path(dir) / name).string(),
+                        write_scenario(e.spec, opts))) {
+      ++written;
+    }
   }
-  return n;
+  return written;
 }
 
 int load_corpus_dir(Corpus& corpus, const std::string& dir) {

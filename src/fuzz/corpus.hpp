@@ -68,7 +68,8 @@ class Corpus {
 };
 
 /// Write every corpus entry as `<dir>/corpus-NNNN.scn` (dir is created).
-/// Returns the number of files written.
+/// Returns the number of files written: fewer than corpus.size() when the
+/// directory or a file cannot be written.
 int save_corpus(const Corpus& corpus, const std::string& dir);
 
 /// Load every *.scn under `dir` (sorted by name, non-recursive), re-execute

@@ -35,8 +35,9 @@ TrialOutcome run_biased_trial(const ProbePlan& plan, const PrefixState* prefix,
   if (!prefix && plan.t_first != 0) {
     throw std::logic_error("rare: plan expects a prefix template");
   }
-  Network net(plan.n_nodes, plan.protocol);
-  const bool cloned = start_episode(net, plan, prefix);
+  const EpisodeRun run(plan, prefix);
+  Network& net = run.net();
+  const bool cloned = run.cloned();
   BiasedFaults inj(plan.ber_star, plan.bias, plan.eof_start, rng);
   if (cloned) inj.account_clean_prefix(plan.prefix_draws());
   net.set_injector(inj);

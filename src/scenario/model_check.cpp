@@ -81,8 +81,9 @@ SweepPlan make_plan(const ExhaustiveConfig& cfg) {
 RunEnd run_case(const ProbeEpisode& ep, const PrefixState* prefix,
                 TailMemo* memo,
                 const std::vector<std::pair<NodeId, int>>& flips) {
-  Network net(ep.n_nodes, ep.protocol);
-  const bool cloned = start_episode(net, ep, prefix);
+  const EpisodeRun run(ep, prefix);
+  Network& net = run.net();
+  const bool cloned = run.cloned();
   ScriptedFaults inj;
   for (const auto& [node, pos] : flips) {
     inj.add(
@@ -159,16 +160,48 @@ struct SubtreeTally {
   long long enumerated = 0;
   long long simulated = 0;
   long long symmetry_skips = 0;
+  long long admitted = 0;  ///< canonical cases charged to the budget
+  bool cut = false;        ///< a further canonical case met a full budget
   std::vector<Counterexample> examples;
 };
 
-struct SharedState {
-  std::atomic<long long> enumerated{0};     ///< global progress counter
-  std::atomic<long long> checked{0};        ///< cases charged to the budget
-  std::atomic<bool> stop{false};            ///< budget exhausted
+/// What the subtree tasks of one sweep share.  A max_cases budget admits
+/// exactly the first max_cases canonical cases in enumeration order.  Each
+/// subtree publishes how many canonical cases it has seen so far; their
+/// sum over the subtrees before it bounds from below what they take of the
+/// budget, so a subtree stops once that leaves it nothing and never waits
+/// for the others.  The merge walks the subtrees in order and re-runs the
+/// one the budget runs out in if it admitted more than was left.
+class SharedState {
+ public:
+  SharedState(std::size_t subtrees, long long max_cases)
+      : max_cases_(max_cases), seen_(subtrees) {}
+
+  std::atomic<long long> enumerated{0};  ///< global progress counter
+
+  /// The budget the subtrees before `first` leave at most (LLONG_MAX
+  /// without a budget); negative once the cut surely lies before `first`.
+  [[nodiscard]] long long budget_left(std::size_t first) const {
+    if (max_cases_ == 0) return LLONG_MAX;
+    long long left = max_cases_;
+    for (std::size_t i = 0; i < first; ++i) {
+      left -= seen_[i].load(std::memory_order_relaxed);
+    }
+    return left;
+  }
+
+  /// Subtree `first` holds at least `n` canonical cases.
+  void saw(std::size_t first, long long n) {
+    if (max_cases_ > 0) seen_[first].store(n, std::memory_order_relaxed);
+  }
+
+ private:
+  const long long max_cases_;
+  std::vector<std::atomic<long long>> seen_;
 };
 
-/// Visit every combination whose first slot is `first`.
+/// Visit every combination whose first slot is `first`, admitting the
+/// canonical cases the budget leaves it as far as known.
 SubtreeTally run_subtree(const ModelCheckConfig& mc, const SweepPlan& plan,
                          const PrefixState* prefix, TailMemo* memo,
                          SharedState& shared, const CheckProgressFn& progress,
@@ -206,14 +239,12 @@ SubtreeTally run_subtree(const ModelCheckConfig& mc, const SweepPlan& plan,
         }
       }
 
-      if (mc.max_cases > 0) {
-        const long long seq =
-            shared.checked.fetch_add(1, std::memory_order_relaxed);
-        if (seq >= mc.max_cases) {
-          shared.stop.store(true, std::memory_order_relaxed);
-          return;
-        }
+      if (tally.admitted >= shared.budget_left(first)) {
+        tally.cut = true;
+        shared.saw(first, tally.admitted + 1);
+        return;
       }
+      shared.saw(first, ++tally.admitted);
 
       // The window is simulated even on a memo hit.
       const RunEnd end = run_case(plan, prefix, memo, chosen);
@@ -234,14 +265,14 @@ SubtreeTally run_subtree(const ModelCheckConfig& mc, const SweepPlan& plan,
       return;
     }
     for (long long i = start; i < n_slots; ++i) {
-      if (shared.stop.load(std::memory_order_relaxed)) return;
+      if (tally.cut) return;
       chosen.push_back(plan.slots[static_cast<std::size_t>(i)]);
       recurse(i + 1);
       chosen.pop_back();
     }
   };
 
-  if (shared.stop.load(std::memory_order_relaxed)) return tally;
+  if (shared.budget_left(first) < 0) return tally;
   chosen.push_back(plan.slots[first]);
   recurse(static_cast<long long>(first) + 1);
   if (since_progress > 0) note_progress(since_progress);
@@ -271,22 +302,28 @@ ModelCheckResult run_model_check(const ModelCheckConfig& cfg,
   }
 
   // One task per first-slot subtree.  Tallies merge in subtree order, so
-  // a complete sweep reports the same examples for any jobs value.
+  // the result does not depend on the jobs value.
   const std::size_t subtrees =
       plan.slots.size() - static_cast<std::size_t>(cfg.base.errors) + 1;
-  SharedState shared;
+  SharedState shared(subtrees, cfg.max_cases);
   std::vector<SubtreeTally> tallies(subtrees);
   parallel_for(subtrees, cfg.jobs, [&](std::size_t first) {
-    tallies[first] =
-        run_subtree(cfg, plan, prefix.get(), memo.get(), shared, progress,
-                    first);
+    tallies[first] = run_subtree(cfg, plan, prefix.get(), memo.get(), shared,
+                                 progress, first);
   });
 
   ModelCheckResult res;
   res.cfg = cfg.base;
   res.cfg.win_hi_rel = plan.win_hi_rel;
-  res.complete = !shared.stop.load();
-  for (const SubtreeTally& t : tallies) {
+  long long left = cfg.max_cases > 0 ? cfg.max_cases : LLONG_MAX;
+  for (std::size_t first = 0; first < subtrees; ++first) {
+    SubtreeTally& t = tallies[first];
+    if (t.admitted > left) {
+      // It ran ahead of the subtrees before it.  They have all finished
+      // now, so budget_left is exact: redo it with what is left.
+      t = run_subtree(cfg, plan, prefix.get(), memo.get(), shared, {}, first);
+    }
+    left -= t.admitted;
     res.cases += t.cases;
     res.imo += t.imo;
     res.double_rx += t.double_rx;
@@ -300,11 +337,19 @@ ModelCheckResult run_model_check(const ModelCheckConfig& cfg,
         res.examples.push_back(ce);
       }
     }
+    if (t.cut) {
+      res.complete = false;
+      break;
+    }
   }
   if (memo) {
+    // Every lookup that found no entry inserted one, so the lookups beyond
+    // the distinct keys are the hits a one-thread sweep makes, whichever
+    // thread happened to miss a key first.
     const TailMemoStats memo_stats = memo->stats();
-    res.stats.tail_memo_hits = memo_stats.hits;
     res.stats.distinct_tails = memo_stats.entries;
+    res.stats.tail_memo_hits = memo_stats.hits + memo_stats.misses -
+                               static_cast<long long>(memo_stats.entries);
   }
   res.stats.jobs = static_cast<int>(
       std::min(static_cast<std::size_t>(resolve_jobs(cfg.jobs)), subtrees));

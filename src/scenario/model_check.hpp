@@ -22,8 +22,11 @@
 //   * work distribution — each first-flip subtree is one parallel_for
 //     index (util/parallel.hpp) that worker threads claim dynamically, so
 //     uneven subtree cost does not serialise the sweep.  Tallies are kept
-//     per subtree and merged in subtree order, so a complete sweep reports
-//     the same counts and examples for any jobs value.
+//     per subtree and merged in subtree order, so a sweep reports the
+//     same counts and examples for any jobs value, budget-cut or not;
+//   * one episode bus per thread — a cloned case runs on the calling
+//     thread's reused Network (EpisodeRun, scenario/probe.hpp) instead of
+//     building N controllers per case.
 //
 // The episode, prefix template, bus clone, tail memo and verdict are the
 // probe module's (scenario/probe.hpp), shared with the rare-event engine
@@ -59,8 +62,9 @@ struct ModelCheckConfig {
   /// Receiver-permutation symmetry reduction.
   bool symmetry = true;
 
-  /// Budget: stop after checking this many flip patterns (0 = exhaustive).
-  /// A budget-cut result has complete == false and reports the explored
+  /// Budget: check only the first this many canonical flip patterns in
+  /// enumeration order (0 = exhaustive), whatever the jobs value.  A
+  /// budget-cut result has complete == false and reports the explored
   /// prefix of the space — useful for k beyond exhaustive reach (k = 5 at
   /// m = 5).
   long long max_cases = 0;

@@ -1,12 +1,14 @@
 #include "scenario/probe.hpp"
 
 #include <algorithm>
+#include <memory>
 #include <numeric>
 #include <stdexcept>
 #include <string_view>
 
 #include "analysis/tagged.hpp"
 #include "frame/encoder.hpp"
+#include "sim/kernel.hpp"
 #include "util/contract.hpp"
 #include "util/statekey.hpp"
 
@@ -99,14 +101,50 @@ void clone_bus(const Network& src, Network& fresh) {
   fresh.sim().warp_to(src.sim().now());
 }
 
-bool start_episode(Network& net, const ProbeEpisode& episode,
-                   const PrefixState* prefix) {
-  if (prefix != nullptr && !prefix->quiet_before_window) {
-    clone_bus(prefix->net, net);
-    return true;
+namespace {
+
+/// The calling thread's episode bus and the kernel it was built under.
+struct EpisodeBus {
+  std::unique_ptr<Network> net;
+  KernelKind kernel = KernelKind::Ref;
+  bool in_use = false;
+};
+
+EpisodeBus& thread_episode_bus() {
+  thread_local EpisodeBus bus;
+  return bus;
+}
+
+}  // namespace
+
+EpisodeRun::EpisodeRun(const ProbeEpisode& episode,
+                       const PrefixState* prefix) {
+  if (prefix == nullptr || prefix->quiet_before_window) {
+    net_ = &fresh_.emplace(episode.n_nodes, episode.protocol);
+    net_->node(0).enqueue(episode.frame);
+    return;
   }
-  net.node(0).enqueue(episode.frame);
-  return false;
+  EpisodeBus& bus = thread_episode_bus();
+  if (bus.in_use) {
+    throw std::logic_error("EpisodeRun: this thread's episode bus is in use");
+  }
+  const KernelKind kernel = default_kernel();
+  if (bus.net == nullptr || bus.net->size() != episode.n_nodes ||
+      bus.net->node(0).protocol() != episode.protocol ||
+      bus.kernel != kernel) {
+    bus.net = std::make_unique<Network>(episode.n_nodes, episode.protocol);
+    bus.kernel = kernel;
+  } else {
+    bus.net->restart();
+  }
+  net_ = bus.net.get();
+  clone_bus(prefix->net, *net_);
+  bus.in_use = true;
+}
+
+EpisodeRun::~EpisodeRun() {
+  net_->sim().clear_injector();
+  if (cloned()) thread_episode_bus().in_use = false;
 }
 
 ProbeVerdict classify_probe(const std::vector<int>& deliveries,

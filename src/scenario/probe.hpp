@@ -28,6 +28,7 @@
 
 #include <array>
 #include <functional>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -110,16 +111,37 @@ struct PrefixState {
   explicit PrefixState(const ProbeEpisode& episode);
 };
 
-/// Put the freshly constructed bus `fresh` (same size and protocol) into
-/// `src`'s runtime state at `src`'s bit time.  Journals and the event log
-/// are not copied: they restart empty at the clone point.
+/// Put `fresh` — a freshly constructed or restarted (Network::restart)
+/// bus of the same size and protocol — into `src`'s runtime state at
+/// `src`'s bit time.  Journals and the event log are not copied: they
+/// restart empty at the clone point.
 void clone_bus(const Network& src, Network& fresh);
 
-/// Start a run of the episode on the freshly constructed bus `net`: a
-/// clone of the prefix at t_first when `prefix` is usable, else the probe
-/// frame enqueued at bit 0.  Returns true when it cloned.
-bool start_episode(Network& net, const ProbeEpisode& episode,
-                   const PrefixState* prefix);
+/// One run of the episode, for the lifetime of this object.  With a usable
+/// `prefix` the run starts from a clone of it at t_first on the calling
+/// thread's episode bus: one Network per thread, kept for the next run and
+/// rebuilt only when the episode's size or protocol or the default kernel
+/// differ, else put back into a fresh bus's state by Network::restart plus
+/// clone_bus.  Without one it starts on a freshly constructed bus with the
+/// probe frame enqueued at bit 0.  On destruction the bus drops its
+/// injector, so it never holds a pointer into a finished run.  A thread
+/// runs one cloned episode at a time (nesting throws std::logic_error).
+class EpisodeRun {
+ public:
+  EpisodeRun(const ProbeEpisode& episode, const PrefixState* prefix);
+  ~EpisodeRun();
+
+  EpisodeRun(const EpisodeRun&) = delete;
+  EpisodeRun& operator=(const EpisodeRun&) = delete;
+
+  [[nodiscard]] Network& net() const { return *net_; }
+  /// True when the run started from the prefix clone.
+  [[nodiscard]] bool cloned() const { return !fresh_.has_value(); }
+
+ private:
+  std::optional<Network> fresh_;
+  Network* net_ = nullptr;
+};
 
 /// The reference verdict.  `deliveries` holds the per-node delivery counts
 /// (index 0, the transmitter, is ignored); `sender_has` whether the

@@ -475,7 +475,7 @@ void FastKernel::step_bit(FaultInjector& inj, bool quiet_inj) {
         rec.view[i] = bus;
         continue;
       }
-      const bool f = inj.flips(sim_.nodes_[i].node->id(), t, rec.info[i], bus);
+      const bool f = inj.flips(sim_.nodes_[i].id, t, rec.info[i], bus);
       if (f) {
         rec.view[i] = flip(bus);
         if (records) rec.disturbed[i] = true;

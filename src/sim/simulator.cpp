@@ -11,13 +11,24 @@ Simulator::~Simulator() {
 }
 
 void Simulator::attach(BusParticipant& node) {
+  const NodeId id = node.id();
   for (const Slot& s : nodes_) {
-    if (s.node->id() == node.id()) {
-      throw std::invalid_argument("duplicate node id on bus");
-    }
+    if (s.id == id) throw std::invalid_argument("duplicate node id on bus");
   }
-  nodes_.push_back(Slot{&node, kNoTime, false});
+  nodes_.push_back(Slot{&node, id, kNoTime, false});
   if (kernel_) kernel_->on_attach();
+}
+
+void Simulator::restart() {
+  install_kernel(nullptr);
+  for (Slot& s : nodes_) {
+    s.crash_at = kNoTime;
+    s.crashed = false;
+  }
+  pending_crashes_ = 0;
+  injector_ = nullptr;
+  now_ = 0;
+  maybe_idle_ = true;
 }
 
 void Simulator::install_kernel(std::unique_ptr<KernelBackend> k) {
@@ -27,7 +38,7 @@ void Simulator::install_kernel(std::unique_ptr<KernelBackend> k) {
 
 void Simulator::schedule_crash(NodeId node, BitTime t) {
   for (Slot& s : nodes_) {
-    if (s.node->id() == node) {
+    if (s.id == node) {
       if (!s.crashed && s.crash_at == kNoTime) ++pending_crashes_;
       s.crash_at = t;
       return;
@@ -42,7 +53,7 @@ void Simulator::remove_observer(TraceObserver& obs) {
 
 bool Simulator::crashed(NodeId node) const {
   for (const Slot& s : nodes_) {
-    if (s.node->id() == node) return s.crashed;
+    if (s.id == node) return s.crashed;
   }
   return false;
 }
@@ -67,6 +78,7 @@ void Simulator::step() {
 
 void Simulator::step_reference() {
   const std::size_t n = nodes_.size();
+  const bool records = !observers_.empty();
 
   FaultInjector& inj = effective_injector();
 
@@ -79,7 +91,7 @@ void Simulator::step_reference() {
   // except the clock.  Observers force the full path (they get a record
   // per bit); the hint keeps saturated workloads from ever paying for the
   // scan.
-  if (maybe_idle_ && observers_.empty()) {
+  if (maybe_idle_ && !records) {
     bool all_quiescent = true;
     for (const Slot& s : nodes_) {
       if (s.crashed || !s.node->active()) continue;
@@ -96,49 +108,54 @@ void Simulator::step_reference() {
     }
   }
 
+  // Without observers only what this bit reads is written: the latched
+  // participation, each active node's info, and every view.
   BitRecord& rec = rec_;
-  rec.t = now_;
-  rec.driven.assign(n, Level::Recessive);
+  rec.active.resize(n);
   rec.info.resize(n);
-  rec.view.assign(n, Level::Recessive);
-  rec.active.assign(n, false);
-  rec.disturbed.assign(n, false);
+  rec.view.resize(n);
+  if (records) {
+    rec.t = now_;
+    rec.driven.assign(n, Level::Recessive);
+    rec.disturbed.assign(n, false);
+  }
 
-  // Phase 1: drive.  Participation is latched here: a node whose
-  // fault-confinement state flips to bus-off during this bit's sample
-  // phase still drove this bit, and the trace record must agree with the
-  // resolution (the wired-AND invariant checks record-internal
-  // consistency).
+  // Phase 1: drive.  Participation is latched here and reused by the view
+  // and sample phases: a node whose fault-confinement state flips to
+  // bus-off during this bit's sample phase still drove this bit, and the
+  // trace record must agree with the resolution (the wired-AND invariant
+  // checks record-internal consistency).
   Level bus = Level::Recessive;
   for (std::size_t i = 0; i < n; ++i) {
     Slot& s = nodes_[i];
-    if (s.crashed || !s.node->active()) {
-      rec.info[i] = NodeBitInfo{};
-      rec.info[i].seg = Seg::Off;
+    const bool on = !s.crashed && s.node->active();
+    rec.active[i] = on;
+    if (!on) {
+      if (records) {
+        rec.info[i] = NodeBitInfo{};
+        rec.info[i].seg = Seg::Off;
+      }
       continue;
     }
-    rec.active[i] = true;
-    rec.driven[i] = s.node->drive(now_);
+    const Level driven = s.node->drive(now_);
+    if (records) rec.driven[i] = driven;
     rec.info[i] = s.node->bit_info();
-    bus = bus & rec.driven[i];
+    bus = bus & driven;
   }
   rec.bus = bus;
 
   // Phase 2: resolve views and sample.
   for (std::size_t i = 0; i < n; ++i) {
-    Slot& s = nodes_[i];
-    if (s.crashed || !s.node->active()) {
+    if (!rec.active[i]) {
       rec.view[i] = bus;
       continue;
     }
-    const bool f = inj.flips(s.node->id(), now_, rec.info[i], bus);
-    rec.disturbed[i] = f;
+    const bool f = inj.flips(nodes_[i].id, now_, rec.info[i], bus);
+    if (records) rec.disturbed[i] = f;
     rec.view[i] = f ? flip(bus) : bus;
   }
   for (std::size_t i = 0; i < n; ++i) {
-    Slot& s = nodes_[i];
-    if (s.crashed || !s.node->active()) continue;
-    s.node->sample(now_, rec.view[i]);
+    if (rec.active[i]) nodes_[i].node->sample(now_, rec.view[i]);
   }
 
   // Phase 3: trace.

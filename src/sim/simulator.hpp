@@ -73,6 +73,10 @@ class Simulator {
   /// Install the fault injector (non-owning).  Default: clean channel.
   void set_injector(FaultInjector& inj) { injector_ = &inj; }
 
+  /// Drop the installed injector (back to the clean channel), so a
+  /// simulator that outlives its injector holds no pointer to it.
+  void clear_injector() { injector_ = nullptr; }
+
   /// Install a trace observer (non-owning).  Optional.
   void add_observer(TraceObserver& obs) { observers_.push_back(&obs); }
 
@@ -102,6 +106,12 @@ class Simulator {
 
   [[nodiscard]] BitTime now() const { return now_; }
 
+  /// Put the simulator back into a just-constructed simulator's state,
+  /// keeping its participants and observers: clock at 0, no crash
+  /// scheduled, no injector, no kernel backend (it is flushed and
+  /// destroyed), idle hint set.  Participant state is left as it is.
+  void restart();
+
   /// Set the clock without stepping.  Model-checker use only: after cloning
   /// all participants' runtime state from a template bus that was stepped to
   /// `t`, warping aligns this simulator's clock so absolute-time fault
@@ -119,6 +129,7 @@ class Simulator {
 
   struct Slot {
     BusParticipant* node = nullptr;
+    NodeId id = 0;  ///< node->id(), read once at attach
     BitTime crash_at = kNoTime;
     bool crashed = false;
   };
@@ -149,6 +160,8 @@ class Simulator {
   // The one per-bit record: both kernels fill it in place (it doubles as
   // their drive/view scratch), so its capacity is reused and a bit needs
   // no heap allocation.  Observers see it only for the duration of on_bit.
+  // Without observers a kernel keeps only the entries its own bit reads
+  // current (active, view, and info of active nodes).
   BitRecord rec_;
 };
 

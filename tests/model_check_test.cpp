@@ -5,8 +5,10 @@
 // the same verdict.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <stdexcept>
+#include <string>
 
 #include "analysis/coverage.hpp"
 #include "core/fsm_coverage.hpp"
@@ -141,6 +143,58 @@ TEST(ModelCheck, BudgetBoundsTheSweep) {
   EXPECT_FALSE(r.complete);
   EXPECT_LT(r.stats.simulated + r.stats.tail_memo_hits, 67525);
   EXPECT_NE(r.summary().find("budget"), std::string::npos);
+}
+
+void expect_same_sweep(const ModelCheckResult& a, const ModelCheckResult& b,
+                       const std::string& what) {
+  expect_same_counts(a, b, what);
+  EXPECT_EQ(a.complete, b.complete) << what;
+  EXPECT_EQ(a.stats.enumerated, b.stats.enumerated) << what;
+  EXPECT_EQ(a.stats.simulated, b.stats.simulated) << what;
+  EXPECT_EQ(a.stats.symmetry_skips, b.stats.symmetry_skips) << what;
+  ASSERT_EQ(a.examples.size(), b.examples.size()) << what;
+  for (std::size_t i = 0; i < a.examples.size(); ++i) {
+    EXPECT_EQ(a.examples[i].flips, b.examples[i].flips) << what;
+    EXPECT_EQ(a.examples[i].outcome, b.examples[i].outcome) << what;
+  }
+}
+
+TEST(ModelCheck, BudgetCutIndependentOfJobs) {
+  // A budget admits the first max_cases canonical cases in enumeration
+  // order, whatever the thread count: the cut lands in the same subtree
+  // at the same case for jobs 1 and 4.  CAN k=2 has 555 canonical cases.
+  for (const long long cap : {1LL, 40LL, 200LL, 554LL, 555LL, 2000LL}) {
+    const std::string tag = "cap=" + std::to_string(cap);
+    const auto one =
+        run_engine(ProtocolParams::standard_can(), 2, 1, true, true, cap);
+    EXPECT_EQ(one.stats.simulated, std::min(cap, 555LL)) << tag;
+    EXPECT_EQ(one.complete, cap >= 555) << tag;
+    for (int rep = 0; rep < 3; ++rep) {
+      expect_same_sweep(
+          one, run_engine(ProtocolParams::standard_can(), 2, 4, true, true, cap),
+          tag + " jobs=4");
+    }
+  }
+  // Without symmetry every combination is canonical.
+  const auto one =
+      run_engine(ProtocolParams::major_can(5), 3, 1, true, false, 3000);
+  EXPECT_FALSE(one.complete);
+  EXPECT_EQ(one.stats.simulated, 3000);
+  expect_same_sweep(
+      one, run_engine(ProtocolParams::major_can(5), 3, 4, true, false, 3000),
+      "major5 k=3 no symmetry");
+}
+
+TEST(ModelCheck, MemoStatsIndependentOfJobs) {
+  // tail_memo_hits counts the cut lookups beyond the distinct tails, so a
+  // key two threads both miss still counts one miss.
+  const auto one = run_engine(ProtocolParams::minor_can(), 2, 1, true, true);
+  for (int rep = 0; rep < 3; ++rep) {
+    const auto four = run_engine(ProtocolParams::minor_can(), 2, 4, true, true);
+    EXPECT_EQ(one.stats.tail_memo_hits, four.stats.tail_memo_hits);
+    EXPECT_EQ(one.stats.distinct_tails, four.stats.distinct_tails);
+    expect_same_sweep(one, four, "minor k=2");
+  }
 }
 
 TEST(ModelCheck, ZeroBudgetMeansExhaustive) {

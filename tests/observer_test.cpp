@@ -1,9 +1,11 @@
 // The observer path: the one per-bit record a Simulator hands its trace
 // observers, and run_scenario's opt-in trace.  Pins that (a) every observer
 // of one simulator sees the same record stream, bit for bit, on both
-// kernels; (b) the record is refilled in place rather than rebuilt; and
-// (c) opting into the trace changes nothing but `outcome.trace` — every
-// verdict, count and fuzz signature is the same traced or not.
+// kernels; (b) the record is refilled in place rather than rebuilt; (c)
+// a run without an observer, where the kernels skip filling the record,
+// does exactly what an observed run does; and (d) opting into the trace
+// changes nothing but `outcome.trace` — every verdict, count and fuzz
+// signature is the same traced or not.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,6 +16,8 @@
 #include <string>
 #include <vector>
 
+#include "analysis/tagged.hpp"
+#include "attack/injector.hpp"
 #include "core/network.hpp"
 #include "fault/scripted.hpp"
 #include "frame/frame.hpp"
@@ -220,7 +224,7 @@ TEST(ObserverPath, ObservedBitsReuseTheRecord) {
   }
 }
 
-// --- run_scenario's trace opt-in -----------------------------------------
+// --- the scenario corpus -------------------------------------------------
 
 std::vector<std::string> corpus_files() {
   std::vector<std::string> files;
@@ -231,6 +235,97 @@ std::vector<std::string> corpus_files() {
   std::sort(files.begin(), files.end());
   return files;
 }
+
+/// What a run leaves behind on the bus.
+struct BusEnd {
+  std::string events;  ///< the event log, one line per event
+  std::vector<std::vector<std::string>> deliveries;  ///< per node: frame@t
+  std::string states;  ///< every node's append_state, in order
+  BitTime now = 0;
+};
+
+/// The wire-level part of `spec` — scripted flips, attackers, the crash,
+/// the probe frame, traffic and spoofed frames — on a raw Network,
+/// stepped to quiescence plus a cooldown; optionally watched by a
+/// BitCounter.
+BusEnd run_wire_level(const ScenarioSpec& spec, bool observed) {
+  Network net(spec.n_nodes, spec.protocol);
+  BitCounter counter;
+  if (observed) net.sim().add_observer(counter);
+  ScriptedFaults scripted(spec.flips);
+  AttackEngine attacker(spec.attacks);
+  CompositeInjector faults;
+  faults.add(scripted);
+  faults.add(attacker);
+  net.set_injector(faults);
+  if (spec.crash) {
+    net.sim().schedule_crash(spec.crash->first, spec.crash->second);
+  }
+  net.node(0).enqueue(make_tagged_frame(
+      spec.frame_id, MsgKind::Data, MessageKey{0, 1},
+      std::max<std::uint8_t>(4, spec.frame_dlc)));
+  for (std::size_t j = 0; j < spec.traffic.size(); ++j) {
+    const TrafficFrame& t = spec.traffic[j];
+    const auto sender =
+        static_cast<NodeId>(t.sender % static_cast<NodeId>(spec.n_nodes));
+    net.node(static_cast<int>(sender))
+        .enqueue(make_tagged_frame(
+            t.id, MsgKind::Data,
+            MessageKey{sender, static_cast<std::uint16_t>(100 + j)},
+            std::max<std::uint8_t>(4, t.dlc)));
+  }
+  for (const AttackSpec& a : spec.attacks) {
+    if (a.kind != AttackKind::Spoof) continue;
+    for (const MessageKey& key : spoof_keys(a)) {
+      net.node(static_cast<int>(a.attacker %
+                                static_cast<std::uint32_t>(spec.n_nodes)))
+          .enqueue(make_tagged_frame(a.id, MsgKind::Data, key,
+                                     std::max<std::uint8_t>(4, a.dlc)));
+    }
+  }
+  (void)net.run_until_quiet(30000);
+  net.sim().run(static_cast<BitTime>(2 * spec.protocol.eof_bits()));
+
+  BusEnd end;
+  for (const Event& e : net.log().events()) end.events += e.to_string() + "\n";
+  for (int i = 0; i < net.size(); ++i) {
+    end.deliveries.emplace_back();
+    for (const Delivery& d : net.deliveries(i)) {
+      end.deliveries.back().push_back(d.frame.to_string() + "@" +
+                                      std::to_string(d.t));
+    }
+    net.node(i).append_state(end.states);
+  }
+  end.now = net.sim().now();
+  if (observed) {
+    EXPECT_EQ(counter.bits, end.now) << "an observer sees every bit";
+  }
+  return end;
+}
+
+TEST(ObserverPath, UnobservedRunsMatchObservedRunsOnTheCorpus) {
+  // Without an observer the kernels keep only what a bit itself reads
+  // and skip idle stretches; with one they fill the whole record every
+  // bit.  Neither may change what the run does.
+  const std::vector<std::string> files = corpus_files();
+  ASSERT_FALSE(files.empty());
+  for (KernelKind k : {KernelKind::Ref, KernelKind::Fast}) {
+    ScopedKernel scoped(k);
+    for (const std::string& path : files) {
+      SCOPED_TRACE(std::string(kernel_name(k)) + " " + path);
+      const ScenarioSpec spec = load_scenario_file(path);
+      const BusEnd plain = run_wire_level(spec, false);
+      const BusEnd observed = run_wire_level(spec, true);
+      EXPECT_FALSE(plain.events.empty());
+      EXPECT_EQ(plain.events, observed.events);
+      EXPECT_EQ(plain.deliveries, observed.deliveries);
+      EXPECT_EQ(plain.states, observed.states);
+      EXPECT_EQ(plain.now, observed.now);
+    }
+  }
+}
+
+// --- run_scenario's trace opt-in -----------------------------------------
 
 TEST(TraceOptIn, TracedAndUntracedRunsAgreeOnEveryScenario) {
   const std::vector<std::string> files = corpus_files();

@@ -11,9 +11,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <filesystem>
 #include <functional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/network.hpp"
@@ -24,9 +26,11 @@
 #include "fuzz/mutate.hpp"
 #include "fuzz/oracle.hpp"
 #include "rare/campaign.hpp"
+#include "rare/trial.hpp"
 #include "rsm/runner.hpp"
 #include "scenario/dsl.hpp"
 #include "scenario/model_check.hpp"
+#include "scenario/probe.hpp"
 #include "sim/fast/fast_kernel.hpp"
 #include "sim/kernel.hpp"
 
@@ -450,6 +454,128 @@ TEST(SimFastModelCheck, CanK2SweepCountsMatch) {
         EXPECT_EQ(r.total_loss, f.total_loss);
         EXPECT_EQ(r.timeouts, f.timeouts);
       });
+}
+
+// --- the per-thread episode bus -----------------------------------------
+
+/// One leg of a trial sequence: the bus and the kernel it runs under.
+struct EpisodeLeg {
+  ProtocolParams protocol;
+  int n = 0;
+  KernelKind kernel = KernelKind::Ref;
+};
+
+/// What one leg produces: rare-event trials, then model-checker style
+/// cases, each with the event log and machine state the case left behind.
+struct LegRuns {
+  std::vector<TrialOutcome> trials;
+  std::vector<RunEnd> cases;
+  std::vector<std::string> case_ends;
+};
+
+LegRuns run_leg(const EpisodeLeg& leg) {
+  LegRuns out;
+  const ProbePlan plan = ProbePlan::make(leg.protocol, leg.n, 1e-3, {});
+  const PrefixState prefix(plan);
+  TailMemo memo;
+  for (std::uint64_t i = 0; i < 30; ++i) {
+    out.trials.push_back(run_biased_trial(plan, &prefix, Rng(9, i), &memo));
+  }
+  // One flip per slot of node 1's window, each run to quiescence on the
+  // episode bus (no memo).
+  for (int pos = plan.win_lo_rel; pos <= plan.win_hi_rel; ++pos) {
+    ScriptedFaults inj({FaultTarget::at_time(
+        1, static_cast<BitTime>(plan.eof_start + pos))});
+    const EpisodeRun run(plan, &prefix);
+    EXPECT_TRUE(run.cloned());
+    run.net().set_injector(inj);
+    out.cases.push_back(
+        finish_run(run.net(), 0, plan.quiet_budget, nullptr, plan.t_cut()));
+    std::string end = render_events(run.net());
+    for (int i = 0; i < run.net().size(); ++i) {
+      run.net().node(i).append_state(end);
+      end += "|" + std::to_string(run.net().deliveries(i).size());
+    }
+    out.case_ends.push_back(end + "@" + std::to_string(run.net().sim().now()));
+  }
+  return out;
+}
+
+TEST(EpisodeBus, ReusedBusMatchesFreshBus) {
+  // One thread runs every leg back to back: its episode bus is restarted
+  // between runs and rebuilt whenever protocol, N or kernel switch.  The
+  // reference runs each leg on a thread of its own, whose first run
+  // builds a fresh bus.  Each leg has its own tail memo, filled in the
+  // same order on both sides.
+  const ProtocolParams can = ProtocolParams::standard_can();
+  const std::vector<EpisodeLeg> legs = {
+      {can, 8, KernelKind::Ref},
+      {can, 8, KernelKind::Ref},
+      {can, 8, KernelKind::Fast},
+      {ProtocolParams::major_can(3), 5, KernelKind::Fast},
+      {ProtocolParams::major_can(3), 5, KernelKind::Ref},
+      {ProtocolParams::minor_can(), 8, KernelKind::Ref},
+      {can, 32, KernelKind::Ref},
+      {can, 8, KernelKind::Ref},
+      {ProtocolParams::major_can(5), 16, KernelKind::Fast},
+      {can, 8, KernelKind::Fast},
+  };
+  std::vector<LegRuns> reused(legs.size());
+  std::vector<LegRuns> fresh(legs.size());
+  std::thread one([&] {
+    for (std::size_t i = 0; i < legs.size(); ++i) {
+      ScopedKernel k(legs[i].kernel, legs[i].kernel == KernelKind::Fast);
+      reused[i] = run_leg(legs[i]);
+    }
+  });
+  one.join();
+  for (std::size_t i = 0; i < legs.size(); ++i) {
+    ScopedKernel k(legs[i].kernel, legs[i].kernel == KernelKind::Fast);
+    std::thread own([&] { fresh[i] = run_leg(legs[i]); });
+    own.join();
+  }
+
+  long long violations = 0;
+  for (std::size_t i = 0; i < legs.size(); ++i) {
+    SCOPED_TRACE("leg " + std::to_string(i) + ": " + legs[i].protocol.name() +
+                 " n=" + std::to_string(legs[i].n) + " " +
+                 kernel_name(legs[i].kernel));
+    const LegRuns& r = reused[i];
+    const LegRuns& f = fresh[i];
+    ASSERT_EQ(r.trials.size(), f.trials.size());
+    for (std::size_t t = 0; t < r.trials.size(); ++t) {
+      EXPECT_EQ(r.trials[t].imo, f.trials[t].imo) << "trial " << t;
+      EXPECT_EQ(r.trials[t].dup, f.trials[t].dup) << "trial " << t;
+      EXPECT_EQ(r.trials[t].loss, f.trials[t].loss) << "trial " << t;
+      EXPECT_EQ(r.trials[t].timeout, f.trials[t].timeout) << "trial " << t;
+      EXPECT_EQ(std::memcmp(&r.trials[t].llr, &f.trials[t].llr,
+                            sizeof(double)),
+                0)
+          << "trial " << t;
+      violations += r.trials[t].violation();
+    }
+    ASSERT_EQ(r.cases.size(), f.cases.size());
+    for (std::size_t c = 0; c < r.cases.size(); ++c) {
+      EXPECT_EQ(r.cases[c].deliveries, f.cases[c].deliveries) << "case " << c;
+      EXPECT_EQ(r.cases[c].tx_success, f.cases[c].tx_success) << "case " << c;
+      EXPECT_EQ(r.cases[c].quiet, f.cases[c].quiet) << "case " << c;
+      EXPECT_EQ(r.cases[c].skipped_draws, f.cases[c].skipped_draws)
+          << "case " << c;
+      EXPECT_EQ(r.case_ends[c], f.case_ends[c]) << "case " << c;
+    }
+  }
+  EXPECT_GT(violations, 0) << "the legs should reach some violations";
+}
+
+TEST(EpisodeBus, NestedRunsOnOneThreadAreRejected) {
+  const ProbePlan plan =
+      ProbePlan::make(ProtocolParams::standard_can(), 4, 1e-3, {});
+  const PrefixState prefix(plan);
+  const EpisodeRun outer(plan, &prefix);
+  EXPECT_THROW(EpisodeRun(plan, &prefix), std::logic_error);
+  // A run without a usable prefix builds its own bus.
+  const EpisodeRun bit0(plan, nullptr);
+  EXPECT_FALSE(bit0.cloned());
 }
 
 }  // namespace
